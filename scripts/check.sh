@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus an AddressSanitizer pass, a perf gate, the
+# Tier-1 verification plus an ASan+UBSan pass, a perf gate, the
 # observability gates (obs tests, obs_overhead A/B, bench-JSON schemas),
 # the Release kernel gate (calendar-vs-heap bit-identity across the full
 # matrix + a scheduler events/sec floor), the campaign gates (100k-client
@@ -7,15 +7,16 @@
 # kill/resume report byte-identity) and the passive gates (TSval-matcher
 # packets/sec floor + offline-pcap report byte-identity vs the live tap).
 #
-#   scripts/check.sh          # full: plain build + ctest, ASan build + ctest,
-#                             # then Release perf_matrix (arena A/B gate) and
-#                             # obs_overhead (overhead/determinism gates) runs
-#                             # plus schema validation of every BENCH_*.json
-#   scripts/check.sh --fast   # plain build + ctest only (skip ASan/perf/obs)
+#   scripts/check.sh          # full: plain build + ctest, ASan+UBSan build
+#                             # + ctest, then Release perf_matrix (arena A/B
+#                             # gate) and obs_overhead (overhead/determinism
+#                             # gates) runs plus schema validation of every
+#                             # BENCH_*.json
+#   scripts/check.sh --fast   # plain build + ctest only (skip sanitizers/perf/obs)
 #
 # Exits non-zero on the first failing step. Build trees: build/ (plain),
-# build-asan/ (ASan) and build-release/ (perf); all incremental across
-# invocations.
+# build-asan-ubsan/ (ASan+UBSan) and build-release/ (perf); all incremental
+# across invocations.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -70,19 +71,23 @@ ctest --test-dir build -L passive --output-on-failure
 
 if [[ "$FAST" == 1 ]]; then
   echo
-  echo "check.sh: tier-1 OK (ASan and perf passes skipped with --fast)"
+  echo "check.sh: tier-1 OK (sanitizer and perf passes skipped with --fast)"
   exit 0
 fi
 
-step "asan: configure (BNM_SANITIZE=address)"
+step "asan+ubsan: configure (BNM_SANITIZE=address,undefined)"
+# UBSan is built with -fno-sanitize-recover, so any undefined behaviour a
+# test reaches (in the registry's single-writer cells, the HTTP cursor
+# parser, ...) aborts that test.
 # shellcheck disable=SC2046
-cmake -B build-asan -S . $(gen_for build-asan) -DBNM_SANITIZE=address
+cmake -B build-asan-ubsan -S . $(gen_for build-asan-ubsan) \
+  -DBNM_SANITIZE=address,undefined
 
-step "asan: build tests"
-cmake --build build-asan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bnm_obs_tests bnm_kernel_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests
+step "asan+ubsan: build tests"
+cmake --build build-asan-ubsan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bnm_obs_tests bnm_kernel_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests
 
-step "asan: ctest"
-ctest --test-dir build-asan --output-on-failure
+step "asan+ubsan: ctest (every label: tier1, obs, perf, faults, ...)"
+ctest --test-dir build-asan-ubsan --output-on-failure
 
 step "perf: configure (Release)"
 # shellcheck disable=SC2046
@@ -323,4 +328,4 @@ echo "campaign chaos gate OK: killed after 3 shards, resumed byte-identical"
   "$CAMP_DIR"/CHECKPOINT_campaign.json "$CAMP_DIR"/REPORT_campaign_*.json
 
 echo
-echo "check.sh: tier-1 + ASan + perf + obs + resilience + campaign + passive OK"
+echo "check.sh: tier-1 + ASan/UBSan + perf + obs + resilience + campaign + passive OK"

@@ -154,6 +154,14 @@ OverheadSeries Experiment::run() {
   // arena is reset or destroyed.
   sim::ArenaScope arena_scope{
       sim::Arena::current() != nullptr ? nullptr : &testbed_->sim().arena()};
+  // Publish the arena's service to the registry when run() returns (or
+  // throws), so arena.* totals are exact once the run is over.
+  struct PublishOnExit {
+    sim::Arena* arena;
+    ~PublishOnExit() {
+      if (arena != nullptr) arena->publish();
+    }
+  } publish_on_exit{sim::Arena::current()};
   // Pre-size the capture columns from the repetition plan: one repetition
   // records the handshake, the probe exchange and its ACKs — 256 rows
   // covers every method with slack, and clear() keeps the capacity across

@@ -45,7 +45,9 @@ std::vector<OfflineRtt> OfflineAnalyzer::analyze_file(const std::string& path,
                                                       net::Port server_port) {
   const auto result = net::PcapReader::read_file(path);
   if (!result.ok()) {
-    throw std::runtime_error("cannot parse pcap: " + path);
+    throw std::runtime_error(
+        std::string{"cannot parse pcap ("} +
+        net::PcapReader::error_name(result.error) + "): " + path);
   }
   return request_response_rtts(result.records, client_ip, server_port);
 }

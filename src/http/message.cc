@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace bnm::http {
 
-bool Headers::iequals(const std::string& a, const std::string& b) {
+bool Headers::iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (std::tolower(static_cast<unsigned char>(a[i])) !=
@@ -15,6 +16,13 @@ bool Headers::iequals(const std::string& a, const std::string& b) {
     }
   }
   return true;
+}
+
+bool Headers::icontains(std::string_view haystack, std::string_view needle) {
+  for (std::size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
+    if (iequals(haystack.substr(i, needle.size()), needle)) return true;
+  }
+  return false;
 }
 
 void Headers::add(std::string name, std::string value) {
@@ -26,18 +34,19 @@ void Headers::set(std::string name, std::string value) {
   add(std::move(name), std::move(value));
 }
 
-std::optional<std::string> Headers::get(const std::string& name) const {
+const std::string* Headers::find(std::string_view name) const {
   for (const auto& [n, v] : entries_) {
-    if (iequals(n, name)) return v;
+    if (iequals(n, name)) return &v;
   }
+  return nullptr;
+}
+
+std::optional<std::string> Headers::get(std::string_view name) const {
+  if (const std::string* v = find(name)) return *v;
   return std::nullopt;
 }
 
-bool Headers::contains(const std::string& name) const {
-  return get(name).has_value();
-}
-
-void Headers::remove(const std::string& name) {
+void Headers::remove(std::string_view name) {
   entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
                                 [&](const auto& e) {
                                   return iequals(e.first, name);
@@ -47,39 +56,61 @@ void Headers::remove(const std::string& name) {
 
 namespace {
 bool keep_alive_from(const Headers& headers, const std::string& version) {
-  if (const auto c = headers.get("Connection")) {
-    std::string lower = *c;
-    std::transform(lower.begin(), lower.end(), lower.begin(), [](unsigned char ch) {
-      return static_cast<char>(std::tolower(ch));
-    });
-    if (lower.find("close") != std::string::npos) return false;
-    if (lower.find("keep-alive") != std::string::npos) return true;
+  if (const std::string* c = headers.find("Connection")) {
+    if (Headers::icontains(*c, "close")) return false;
+    if (Headers::icontains(*c, "keep-alive")) return true;
   }
   return version == "HTTP/1.1";  // 1.1 defaults to persistent
 }
 
-void serialize_headers(std::string& out, const Headers& headers,
-                       std::size_t body_size, bool has_framing) {
-  for (const auto& [n, v] : headers.entries()) {
-    out += n;
+bool has_framing(const Headers& headers) {
+  return headers.contains("Content-Length") ||
+         headers.contains("Transfer-Encoding");
+}
+
+/// The start line "a b c", the header lines, a Content-Length line when
+/// `length` is set, the blank line and the body, built in one allocation.
+std::string serialize_message(std::string_view a, std::string_view b,
+                              std::string_view c, const Headers& headers,
+                              std::optional<std::size_t> length,
+                              const std::string& body) {
+  // 40: "Content-Length: ", 20 digits and two CRLFs.
+  std::size_t size = a.size() + b.size() + c.size() + 4 + 40 + body.size();
+  for (const auto& [name, value] : headers.entries()) {
+    size += name.size() + value.size() + 4;
+  }
+  std::string out;
+  out.reserve(size);
+  out += a;
+  out += ' ';
+  out += b;
+  out += ' ';
+  out += c;
+  out += "\r\n";
+  for (const auto& [name, value] : headers.entries()) {
+    out += name;
     out += ": ";
-    out += v;
+    out += value;
     out += "\r\n";
   }
-  if (!has_framing && body_size > 0) {
-    out += "Content-Length: " + std::to_string(body_size) + "\r\n";
+  if (length) {
+    char digits[24];
+    out += "Content-Length: ";
+    out.append(digits, std::to_chars(digits, digits + sizeof digits, *length).ptr);
+    out += "\r\n";
   }
   out += "\r\n";
+  out += body;
+  return out;
 }
 }  // namespace
 
 std::string HttpRequest::serialize() const {
-  std::string out = method + " " + target + " " + version + "\r\n";
-  const bool framed = headers.contains("Content-Length") ||
-                      headers.contains("Transfer-Encoding");
-  serialize_headers(out, headers, body.size(), framed);
-  out += body;
-  return out;
+  const bool add_length = !has_framing(headers) && !body.empty();
+  return serialize_message(method, target, version, headers,
+                           add_length ? std::optional{body.size()}
+                                      : std::nullopt,
+                           body);
 }
 
 bool HttpRequest::wants_keep_alive() const {
@@ -87,20 +118,15 @@ bool HttpRequest::wants_keep_alive() const {
 }
 
 std::string HttpResponse::serialize() const {
-  std::string out = version + " " + std::to_string(status) + " " + reason + "\r\n";
-  const bool framed = headers.contains("Content-Length") ||
-                      headers.contains("Transfer-Encoding");
-  for (const auto& [n, v] : headers.entries()) {
-    out += n + ": " + v + "\r\n";
-  }
+  char digits[16];
+  const char* end = std::to_chars(digits, digits + sizeof digits, status).ptr;
   // Responses always carry explicit framing so keep-alive works, even for
   // empty bodies.
-  if (!framed) {
-    out += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  }
-  out += "\r\n";
-  out += body;
-  return out;
+  return serialize_message(version, std::string_view(digits, end - digits),
+                           reason, headers,
+                           has_framing(headers) ? std::nullopt
+                                                : std::optional{body.size()},
+                           body);
 }
 
 bool HttpResponse::wants_keep_alive() const {

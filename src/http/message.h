@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,10 +19,13 @@ class Headers {
   void add(std::string name, std::string value);
   /// Replace all occurrences of `name` with a single header.
   void set(std::string name, std::string value);
-  /// First value of `name`, if present.
-  std::optional<std::string> get(const std::string& name) const;
-  bool contains(const std::string& name) const;
-  void remove(const std::string& name);
+  /// First value of `name`, or nullptr. The pointer is valid until the
+  /// headers are next modified.
+  const std::string* find(std::string_view name) const;
+  /// First value of `name`, if present (a copy; find() avoids it).
+  std::optional<std::string> get(std::string_view name) const;
+  bool contains(std::string_view name) const { return find(name) != nullptr; }
+  void remove(std::string_view name);
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
@@ -30,7 +34,9 @@ class Headers {
   }
 
   /// Case-insensitive ASCII comparison, exposed for the parser.
-  static bool iequals(const std::string& a, const std::string& b);
+  static bool iequals(std::string_view a, std::string_view b);
+  /// Whether `haystack` contains `needle`, ignoring ASCII case.
+  static bool icontains(std::string_view haystack, std::string_view needle);
 
  private:
   std::vector<std::pair<std::string, std::string>> entries_;

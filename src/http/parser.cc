@@ -7,7 +7,7 @@ namespace bnm::http {
 
 namespace {
 // Trim ASCII whitespace from both ends.
-std::string trim(const std::string& s) {
+std::string_view trim(std::string_view s) {
   std::size_t b = 0, e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
@@ -15,23 +15,24 @@ std::string trim(const std::string& s) {
 }
 }  // namespace
 
-void MessageParser::feed(const std::string& bytes) {
+void MessageParser::feed(std::string_view bytes) {
   if (failed()) return;
+  buffer_.erase(0, pos_);
+  pos_ = 0;
   buffer_ += bytes;
   advance();
 }
 
 void MessageParser::feed(const net::Payload& bytes) {
-  if (failed()) return;
-  buffer_.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  advance();
+  feed(std::string_view{reinterpret_cast<const char*>(bytes.data()),
+                        bytes.size()});
 }
 
-bool MessageParser::take_line(std::string& line) {
-  const auto pos = buffer_.find("\r\n");
+bool MessageParser::take_line(std::string_view& line) {
+  const auto pos = buffer_.find("\r\n", pos_);
   if (pos == std::string::npos) return false;
-  line = buffer_.substr(0, pos);
-  buffer_.erase(0, pos + 2);
+  line = std::string_view{buffer_}.substr(pos_, pos - pos_);
+  pos_ = pos + 2;
   return true;
 }
 
@@ -41,13 +42,11 @@ void MessageParser::finish_headers() {
   content_length_ = 0;
 
   const Headers& h = headers_ref();
-  if (const auto te = h.get("Transfer-Encoding")) {
-    std::string lower = *te;
-    for (auto& c : lower) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (lower.find("chunked") != std::string::npos) chunked_ = true;
+  if (const std::string* te = h.find("Transfer-Encoding")) {
+    if (Headers::icontains(*te, "chunked")) chunked_ = true;
   }
   if (!chunked_) {
-    if (const auto cl = h.get("Content-Length")) {
+    if (const std::string* cl = h.find("Content-Length")) {
       has_content_length_ = true;
       content_length_ = static_cast<std::size_t>(std::strtoull(cl->c_str(), nullptr, 10));
       if (content_length_ > body_limit_) {
@@ -71,10 +70,10 @@ void MessageParser::finish_headers() {
 }
 
 void MessageParser::advance() {
+  std::string_view line;
   for (;;) {
     switch (phase_) {
       case Phase::kStartLine: {
-        std::string line;
         if (!take_line(line)) return;
         if (line.empty()) continue;  // tolerate leading blank lines
         if (!parse_start_line(line)) {
@@ -85,7 +84,6 @@ void MessageParser::advance() {
         continue;
       }
       case Phase::kHeaders: {
-        std::string line;
         if (!take_line(line)) return;
         if (line.empty()) {
           finish_headers();
@@ -93,20 +91,21 @@ void MessageParser::advance() {
           continue;
         }
         const auto colon = line.find(':');
-        if (colon == std::string::npos || colon == 0) {
+        if (colon == std::string_view::npos || colon == 0) {
           fail(ParseError::kBadHeader);
           return;
         }
-        headers_ref().add(trim(line.substr(0, colon)),
-                          trim(line.substr(colon + 1)));
+        headers_ref().add(std::string{trim(line.substr(0, colon))},
+                          std::string{trim(line.substr(colon + 1))});
         continue;
       }
       case Phase::kBody: {
+        const std::string_view avail = pending();
         if (has_content_length_) {
           const std::size_t need = content_length_ - body_ref().size();
-          const std::size_t take = std::min(need, buffer_.size());
-          body_ref().append(buffer_, 0, take);
-          buffer_.erase(0, take);
+          const std::size_t take = std::min(need, avail.size());
+          body_ref().append(avail.data(), take);
+          pos_ += take;
           if (body_ref().size() == content_length_) {
             phase_ = Phase::kComplete;
             continue;
@@ -114,17 +113,19 @@ void MessageParser::advance() {
           return;  // need more bytes
         }
         // Close-delimited: absorb everything until on_connection_closed().
-        body_ref() += buffer_;
-        buffer_.clear();
+        body_ref() += avail;
+        pos_ = buffer_.size();
         if (body_ref().size() > body_limit_) fail(ParseError::kBodyTooLarge);
         return;
       }
       case Phase::kChunkSize: {
-        std::string line;
         if (!take_line(line)) return;
+        // strtoull needs a terminated string: the byte after the view is the
+        // CR, which strtoull would skip as leading space on an empty line.
+        const std::string size_field{line};
         char* end = nullptr;
-        const unsigned long long n = std::strtoull(line.c_str(), &end, 16);
-        if (end == line.c_str()) {
+        const unsigned long long n = std::strtoull(size_field.c_str(), &end, 16);
+        if (end == size_field.c_str()) {
           fail(ParseError::kBadChunk);
           return;
         }
@@ -137,23 +138,23 @@ void MessageParser::advance() {
         continue;
       }
       case Phase::kChunkData: {
-        const std::size_t take = std::min(chunk_remaining_, buffer_.size());
-        body_ref().append(buffer_, 0, take);
-        buffer_.erase(0, take);
+        const std::string_view avail = pending();
+        const std::size_t take = std::min(chunk_remaining_, avail.size());
+        body_ref().append(avail.data(), take);
+        pos_ += take;
         chunk_remaining_ -= take;
         if (chunk_remaining_ > 0) return;
         // Consume the CRLF after the chunk.
-        if (buffer_.size() < 2) return;
-        if (buffer_[0] != '\r' || buffer_[1] != '\n') {
+        if (buffer_.size() - pos_ < 2) return;
+        if (buffer_[pos_] != '\r' || buffer_[pos_ + 1] != '\n') {
           fail(ParseError::kBadChunk);
           return;
         }
-        buffer_.erase(0, 2);
+        pos_ += 2;
         phase_ = Phase::kChunkSize;
         continue;
       }
       case Phase::kChunkTrailer: {
-        std::string line;
         if (!take_line(line)) return;
         if (line.empty()) {
           phase_ = Phase::kComplete;
@@ -176,15 +177,15 @@ std::optional<HttpRequest> RequestParser::take() {
   return out;
 }
 
-bool RequestParser::parse_start_line(const std::string& line) {
+bool RequestParser::parse_start_line(std::string_view line) {
   const auto sp1 = line.find(' ');
   const auto sp2 = line.rfind(' ');
-  if (sp1 == std::string::npos || sp2 == sp1) return false;
-  current_.method = line.substr(0, sp1);
-  current_.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-  current_.version = line.substr(sp2 + 1);
+  if (sp1 == std::string_view::npos || sp2 == sp1) return false;
+  current_.method.assign(line.substr(0, sp1));
+  current_.target.assign(line.substr(sp1 + 1, sp2 - sp1 - 1));
+  current_.version.assign(line.substr(sp2 + 1));
   return !current_.method.empty() && !current_.target.empty() &&
-         current_.version.rfind("HTTP/", 0) == 0;
+         current_.version.starts_with("HTTP/");
 }
 
 std::optional<HttpResponse> ResponseParser::take() {
@@ -207,16 +208,19 @@ void ResponseParser::on_connection_closed() {
   }
 }
 
-bool ResponseParser::parse_start_line(const std::string& line) {
+bool ResponseParser::parse_start_line(std::string_view line) {
   const auto sp1 = line.find(' ');
-  if (sp1 == std::string::npos) return false;
-  current_.version = line.substr(0, sp1);
-  if (current_.version.rfind("HTTP/", 0) != 0) return false;
+  if (sp1 == std::string_view::npos) return false;
+  current_.version.assign(line.substr(0, sp1));
+  if (!current_.version.starts_with("HTTP/")) return false;
   const auto sp2 = line.find(' ', sp1 + 1);
-  const std::string code =
-      sp2 == std::string::npos ? line.substr(sp1 + 1) : line.substr(sp1 + 1, sp2 - sp1 - 1);
+  // atoi needs a terminated string (see the chunk-size note above).
+  const std::string code{sp2 == std::string_view::npos
+                             ? line.substr(sp1 + 1)
+                             : line.substr(sp1 + 1, sp2 - sp1 - 1)};
   current_.status = std::atoi(code.c_str());
-  current_.reason = sp2 == std::string::npos ? "" : line.substr(sp2 + 1);
+  current_.reason.assign(sp2 == std::string_view::npos ? std::string_view{}
+                                                       : line.substr(sp2 + 1));
   return current_.status >= 100 && current_.status <= 599;
 }
 

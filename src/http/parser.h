@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "http/message.h"
@@ -30,7 +31,7 @@ class MessageParser {
   virtual ~MessageParser() = default;
 
   /// Append bytes to the internal buffer. Call done()/take_*() afterwards.
-  void feed(const std::string& bytes);
+  void feed(std::string_view bytes);
   /// Same, straight from a payload view (no intermediate string copy).
   void feed(const net::Payload& bytes);
 
@@ -45,7 +46,7 @@ class MessageParser {
                      kChunkTrailer, kComplete };
 
   void advance();
-  virtual bool parse_start_line(const std::string& line) = 0;
+  virtual bool parse_start_line(std::string_view line) = 0;
   virtual Headers& headers_ref() = 0;
   virtual std::string& body_ref() = 0;
   /// Response parsers may treat a missing length as read-until-close.
@@ -53,11 +54,18 @@ class MessageParser {
   virtual void reset_message() = 0;
 
   void finish_headers();
-  bool take_line(std::string& line);
-  void mark_complete() { phase_ = Phase::kComplete; }
+  /// Next CRLF-terminated line at the cursor (CRLF excluded). The view
+  /// aliases buffer_ and stays valid until the next feed().
+  bool take_line(std::string_view& line);
+  /// Unconsumed bytes at the cursor.
+  std::string_view pending() const {
+    return std::string_view{buffer_}.substr(pos_);
+  }
   void fail(ParseError e) { error_ = e; }
 
+  /// Received bytes; [0, pos_) is consumed and dropped at the next feed().
   std::string buffer_;
+  std::size_t pos_ = 0;
   Phase phase_ = Phase::kStartLine;
   ParseError error_ = ParseError::kNone;
   std::size_t body_limit_ = 64 * 1024 * 1024;
@@ -65,7 +73,6 @@ class MessageParser {
   bool has_content_length_ = false;
   bool chunked_ = false;
   std::size_t chunk_remaining_ = 0;
-  bool complete_ = false;
 };
 
 class RequestParser : public MessageParser {
@@ -74,7 +81,7 @@ class RequestParser : public MessageParser {
   std::optional<HttpRequest> take();
 
  private:
-  bool parse_start_line(const std::string& line) override;
+  bool parse_start_line(std::string_view line) override;
   Headers& headers_ref() override { return current_.headers; }
   std::string& body_ref() override { return current_.body; }
   bool length_required() const override { return true; }
@@ -91,7 +98,7 @@ class ResponseParser : public MessageParser {
   void on_connection_closed();
 
  private:
-  bool parse_start_line(const std::string& line) override;
+  bool parse_start_line(std::string_view line) override;
   Headers& headers_ref() override { return current_.headers; }
   std::string& body_ref() override { return current_.body; }
   bool length_required() const override { return false; }

@@ -15,7 +15,13 @@ WebServer::WebServer(net::Host& host, Config config)
 
 void WebServer::route(const std::string& method, const std::string& path,
                       Handler handler) {
-  routes_[method + " " + path] = std::move(handler);
+  for (Route& r : routes_) {
+    if (r.method == method && r.path == path) {
+      r.handler = std::move(handler);
+      return;
+    }
+  }
+  routes_.push_back(Route{method, path, std::move(handler)});
 }
 
 std::string WebServer::path_of(const std::string& target) {
@@ -152,16 +158,15 @@ void WebServer::dispatch(const std::shared_ptr<ConnState>& state,
 }
 
 HttpResponse WebServer::handle(const HttpRequest& request) {
-  const std::string key = request.method + " " + path_of(request.target);
-  if (const auto it = routes_.find(key); it != routes_.end()) {
-    return it->second(request);
+  const std::string_view target = request.target;
+  const std::string_view path = target.substr(0, target.find('?'));
+  bool path_known = false;
+  for (const Route& r : routes_) {
+    if (r.path != path) continue;
+    if (r.method == request.method) return r.handler(request);
+    path_known = true;
   }
-  // Method mismatch on a known path?
-  for (const auto& [k, v] : routes_) {
-    if (k.substr(k.find(' ') + 1) == path_of(request.target)) {
-      return HttpResponse::make(405, "method not allowed");
-    }
-  }
+  if (path_known) return HttpResponse::make(405, "method not allowed");
   return HttpResponse::make(404, "not found");
 }
 

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "http/message.h"
 #include "http/parser.h"
@@ -55,6 +56,12 @@ class WebServer {
   static std::string path_of(const std::string& target);
 
  private:
+  struct Route {
+    std::string method;
+    std::string path;
+    Handler handler;
+  };
+
   struct ConnState {
     std::shared_ptr<net::TcpConnection> conn;
     RequestParser parser;
@@ -70,7 +77,7 @@ class WebServer {
 
   net::Host& host_;
   Config config_;
-  std::unordered_map<std::string, Handler> routes_;  // "METHOD path"
+  std::vector<Route> routes_;  // few enough that a scan beats hashing
   std::uint64_t requests_served_ = 0;
   std::uint64_t connections_accepted_ = 0;
 };

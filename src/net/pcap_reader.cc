@@ -98,6 +98,18 @@ std::optional<Packet> PcapReader::parse_frame(const Payload& frame) {
   return pkt;
 }
 
+const char* PcapReader::error_name(Error e) {
+  switch (e) {
+    case Error::kNone: return "none";
+    case Error::kBadMagic: return "bad_magic";
+    case Error::kUnsupportedLinkType: return "unsupported_link_type";
+    case Error::kTruncated: return "truncated";
+    case Error::kBadIpHeader: return "bad_ip_header";
+    case Error::kOversize: return "oversize";
+  }
+  return "?";
+}
+
 PcapReader::Result PcapReader::read(std::istream& in) {
   Result result;
 
@@ -111,10 +123,10 @@ PcapReader::Result PcapReader::read(std::istream& in) {
     result.error = Error::kBadMagic;
     return result;
   }
-  std::uint32_t v_zone, v_sigfigs, v_snaplen;
+  std::uint32_t v_zone, v_sigfigs, snaplen;
   std::uint32_t version = 0;
   if (!read_u32le(in, version) || !read_u32le(in, v_zone) ||
-      !read_u32le(in, v_sigfigs) || !read_u32le(in, v_snaplen) ||
+      !read_u32le(in, v_sigfigs) || !read_u32le(in, snaplen) ||
       !read_u32le(in, result.link_type)) {
     result.error = Error::kTruncated;
     return result;
@@ -130,6 +142,10 @@ PcapReader::Result PcapReader::read(std::istream& in) {
     if (!read_u32le(in, ts_usec) || !read_u32le(in, incl_len) ||
         !read_u32le(in, orig_len)) {
       result.error = Error::kTruncated;
+      return result;
+    }
+    if (incl_len > snaplen || incl_len > kMaxRecordBytes) {
+      result.error = Error::kOversize;
       return result;
     }
     std::vector<std::uint8_t> bytes(incl_len);

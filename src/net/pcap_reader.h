@@ -28,7 +28,17 @@ class PcapReader {
     kUnsupportedLinkType,
     kTruncated,
     kBadIpHeader,
+    /// A record's incl_len exceeds the header's snaplen or kMaxRecordBytes.
+    kOversize,
   };
+
+  /// Largest record accepted whatever the header's snaplen says, so a
+  /// corrupt length can never make read() allocate more than this.
+  static constexpr std::uint32_t kMaxRecordBytes = 256 * 1024;
+
+  /// "none", "bad_magic", "unsupported_link_type", "truncated",
+  /// "bad_ip_header" or "oversize".
+  static const char* error_name(Error e);
 
   struct Result {
     Error error = Error::kNone;

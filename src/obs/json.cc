@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -103,15 +104,20 @@ void dump_to(const Value& v, std::string& out) {
     case Value::Type::kBool:
       out += v.as_bool() ? "true" : "false";
       break;
-    case Value::Type::kInt:
-      out += std::to_string(v.as_int());
+    case Value::Type::kInt: {
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, v.as_int()).ptr);
       break;
+    }
     case Value::Type::kDouble: {
       double d = v.as_double();
       if (std::isfinite(d)) {
+        // The standard defines this as printf("%.17g") in the C locale, so
+        // the bytes match the snprintf this replaced, without its overhead.
         char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", d);
-        out += buf;
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, d,
+                                      std::chars_format::general, 17)
+                            .ptr);
       } else {
         out += "null";  // JSON has no NaN/Inf
       }

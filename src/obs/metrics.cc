@@ -138,6 +138,9 @@ MetricsRegistry& MetricsRegistry::instance() {
 namespace detail {
 namespace {
 
+/// Set once this thread's ShardHandle has retired.
+thread_local bool t_retired = false;
+
 /// Owns one thread's shard; registers on construction, retires (folds into
 /// the registry accumulator) on thread exit.
 struct ShardHandle {
@@ -152,14 +155,28 @@ struct ShardHandle {
     std::lock_guard<std::mutex> lock{impl->mu};
     impl->live.erase(std::find(impl->live.begin(), impl->live.end(), &shard));
     impl->fold_into_retired(&shard);
+    t_cells = nullptr;
+    t_retired = true;
   }
 };
 
 }  // namespace
 
-std::atomic<std::uint64_t>* tls_cells() {
+std::atomic<std::uint64_t>* register_shard() {
+  if (t_retired) {
+    // A thread-exit destructor that runs after this thread's shard retired
+    // still gets counted: it writes into a shard that stays live (and is
+    // leaked) for the rest of the process.
+    MetricsRegistry::Impl& im = MetricsRegistry::instance().impl();
+    Shard* orphan = new Shard{};
+    std::lock_guard<std::mutex> lock{im.mu};
+    im.live.push_back(orphan);
+    t_cells = orphan->cells;
+    return t_cells;
+  }
   thread_local ShardHandle handle;
-  return handle.shard.cells;
+  t_cells = handle.shard.cells;
+  return t_cells;
 }
 
 }  // namespace detail

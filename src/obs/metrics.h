@@ -12,11 +12,13 @@
 //     snapshot from a parallel core::run_matrix run byte-identical to the
 //     serial run's snapshot (bench/obs_overhead proves it on every
 //     scripts/check.sh run).
-//   * Lock-free thread-local shards. An increment touches only the calling
-//     thread's shard cell (a relaxed atomic on a thread-private cache line),
-//     so pool workers never contend. Shards fold into a retired accumulator
-//     when their thread exits; snapshot() merges live shards + retired under
-//     a mutex (cold path only).
+//   * Lock-free thread-local shards with one writer each. An increment
+//     touches only the calling thread's shard cell, reached through an
+//     inline thread_local pointer, with a relaxed load + store (no lock
+//     prefix, no CAS): the owning thread is the cell's only writer, so pool
+//     workers never contend. Shards fold into a retired accumulator when
+//     their thread exits; snapshot() merges live shards + retired under a
+//     mutex (cold path only).
 //   * Always on. Instruments here replaced counters that were always on
 //     (PayloadStats, FaultCounters, ...) and whose accessors are part of
 //     the public API — so recording is unconditional and cheap by design.
@@ -51,22 +53,39 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 const char* to_string(MetricKind kind);
 
 namespace detail {
-/// The calling thread's shard cells (registered with the registry on first
-/// use). Never nullptr. Cells are relaxed atomics: the owning thread is the
-/// only writer, snapshot/reset are the only other readers.
-std::atomic<std::uint64_t>* tls_cells();
+/// The calling thread's shard cells, or nullptr until the thread's first
+/// write registers its shard. Constant-initialised, so the hot path reads it
+/// straight from TLS with no guard or wrapper call.
+inline thread_local std::atomic<std::uint64_t>* t_cells = nullptr;
+
+/// Cold path: register the calling thread's shard and set t_cells.
+std::atomic<std::uint64_t>* register_shard();
+
+inline std::atomic<std::uint64_t>* cells() {
+  std::atomic<std::uint64_t>* c = t_cells;
+  return c != nullptr ? c : register_shard();
+}
+
+/// Single-writer add. Only the owning thread writes its cells (snapshot and
+/// reset only read or zero them), so a relaxed load + store replaces the
+/// lock-prefixed read-modify-write.
+inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t v) {
+  cell.store(cell.load(std::memory_order_relaxed) + v,
+             std::memory_order_relaxed);
+}
 }  // namespace detail
 
-/// Monotonic sum. add() is the hot path: one thread-local relaxed add.
+/// Monotonic sum. add() is the hot path: one thread-local load + store.
 class Counter {
  public:
   void add(std::uint64_t v = 1) const {
-    detail::tls_cells()[cell_].fetch_add(v, std::memory_order_relaxed);
+    detail::bump(detail::cells()[cell_], v);
   }
   /// Merged total across all threads (cold: takes the registry mutex).
   std::uint64_t total() const;
   /// Zero the metric everywhere. Call only at quiescent points (between
-  /// runs / bench passes), like the legacy *Stats::reset() it replaces.
+  /// runs / bench passes), like the legacy *Stats::reset() it replaces: a
+  /// write racing the reset may undo it for that thread's cell.
   void reset() const;
 
  private:
@@ -81,10 +100,9 @@ class Counter {
 class Gauge {
  public:
   void record_max(std::uint64_t v) const {
-    std::atomic<std::uint64_t>& cell = detail::tls_cells()[cell_];
-    std::uint64_t cur = cell.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !cell.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    std::atomic<std::uint64_t>& cell = detail::cells()[cell_];
+    if (v > cell.load(std::memory_order_relaxed)) {
+      cell.store(v, std::memory_order_relaxed);
     }
   }
   std::uint64_t max_value() const;
@@ -104,11 +122,11 @@ class Gauge {
 class Histogram {
  public:
   void observe(std::uint64_t v) const {
-    std::atomic<std::uint64_t>* cells = detail::tls_cells();
+    std::atomic<std::uint64_t>* cells = detail::cells();
     std::size_t i = 0;
     while (i < n_bounds_ && v > bounds_[i]) ++i;  // n_bounds_ is small
-    cells[cell_ + i].fetch_add(1, std::memory_order_relaxed);
-    cells[cell_ + n_bounds_ + 1].fetch_add(v, std::memory_order_relaxed);
+    detail::bump(cells[cell_ + i], 1);
+    detail::bump(cells[cell_ + n_bounds_ + 1], v);
   }
   std::uint64_t count() const;
   std::uint64_t sum() const;
@@ -171,8 +189,8 @@ class MetricsRegistry {
   MetricsSnapshot snapshot() const;
 
   /// Zero every cell of every metric (live shards + retired). Quiescent
-  /// points only — concurrent increments on other threads may be lost, not
-  /// corrupted.
+  /// points only — a write racing the reset on another thread may undo the
+  /// reset of that thread's cell; no cell is ever torn.
   void reset();
 
   std::size_t metric_count() const;

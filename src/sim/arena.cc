@@ -13,11 +13,8 @@ namespace {
 thread_local Arena* t_current = nullptr;
 std::atomic<bool> g_enabled{true};
 
-#ifdef BNM_ARENA_STATS
 // Process aggregate lives in the obs metrics registry ("arena.*" in
-// docs/OBSERVABILITY.md); ArenaStats accessors stay the public API. The
-// BNM_ARENA_STATS gate keeps its meaning: compiled out, the instruments
-// are never registered and every accessor reads 0.
+// docs/OBSERVABILITY.md); ArenaStats accessors stay the public API.
 const obs::Counter& allocations_counter() {
   static const obs::Counter c = obs::MetricsRegistry::instance().counter(
       "arena.allocations", "allocs", "arena allocations served");
@@ -34,13 +31,6 @@ const obs::Gauge& peak_gauge() {
   return g;
 }
 
-void stats_count(std::size_t bytes, std::size_t arena_in_use) {
-  allocations_counter().add(1);
-  bytes_counter().add(bytes);
-  peak_gauge().record_max(arena_in_use);
-}
-#endif
-
 std::size_t align_up(std::size_t n, std::size_t align) {
   return (n + align - 1) & ~(align - 1);
 }
@@ -48,9 +38,14 @@ std::size_t align_up(std::size_t n, std::size_t align) {
 }  // namespace
 
 Arena::Arena(std::size_t chunk_bytes)
-    : chunk_bytes_{std::max<std::size_t>(chunk_bytes, 1024)} {}
+    : chunk_bytes_{std::max<std::size_t>(chunk_bytes, 1024)} {
+  // Register this thread's metrics shard before the arena finishes
+  // construction, so a thread_local arena's destructor (which publishes)
+  // runs while the shard is still live.
+  obs::detail::cells();
+}
 
-Arena::~Arena() = default;
+Arena::~Arena() { publish(); }
 
 void* Arena::allocate(std::size_t size, std::size_t align) {
   assert((align & (align - 1)) == 0 && "alignment must be a power of two");
@@ -70,11 +65,9 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
       c.used = at + size;
       in_use_ += size;
       peak_ = std::max(peak_, in_use_);
+      window_peak_ = std::max(window_peak_, in_use_);
       ++allocations_;
       bytes_served_ += size;
-#ifdef BNM_ARENA_STATS
-      stats_count(size, in_use_);
-#endif
       return c.base.get() + at;
     }
     add_chunk(size + align);
@@ -99,7 +92,17 @@ void Arena::add_chunk(std::size_t min_size) {
   active_ = chunks_.size() - 1;
 }
 
+void Arena::publish() {
+  allocations_counter().add(allocations_ - published_allocations_);
+  bytes_counter().add(bytes_served_ - published_bytes_);
+  peak_gauge().record_max(window_peak_);
+  published_allocations_ = allocations_;
+  published_bytes_ = bytes_served_;
+  window_peak_ = 0;
+}
+
 void Arena::reset() {
+  publish();
   for (Chunk& c : chunks_) c.used = 0;
   active_ = 0;
   in_use_ = 0;
@@ -130,44 +133,18 @@ ArenaScope::~ArenaScope() {
   if (installed_) t_current = prev_;
 }
 
-std::uint64_t ArenaStats::allocations() {
-#ifdef BNM_ARENA_STATS
-  return allocations_counter().total();
-#else
-  return 0;
-#endif
-}
+std::uint64_t ArenaStats::allocations() { return allocations_counter().total(); }
 
-std::uint64_t ArenaStats::bytes() {
-#ifdef BNM_ARENA_STATS
-  return bytes_counter().total();
-#else
-  return 0;
-#endif
-}
+std::uint64_t ArenaStats::bytes() { return bytes_counter().total(); }
 
 std::uint64_t ArenaStats::peak_arena_bytes() {
-#ifdef BNM_ARENA_STATS
   return peak_gauge().max_value();
-#else
-  return 0;
-#endif
 }
 
 void ArenaStats::reset() {
-#ifdef BNM_ARENA_STATS
   allocations_counter().reset();
   bytes_counter().reset();
   peak_gauge().reset();
-#endif
-}
-
-bool ArenaStats::compiled_in() {
-#ifdef BNM_ARENA_STATS
-  return true;
-#else
-  return false;
-#endif
 }
 
 }  // namespace bnm::sim

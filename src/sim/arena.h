@@ -19,10 +19,13 @@
 // parallel matrix shards never touch the global allocator on the packet
 // path and never contend with each other.
 //
-// Stats: each arena keeps cheap per-instance counters (always on). The
-// process-wide aggregate (ArenaStats, used by bench/perf_matrix) is only
-// maintained when compiled with BNM_ARENA_STATS (a CMake option, on by
-// default in this repo); without it the accessors report zero.
+// Stats: each arena keeps cheap per-instance counters (plain increments on
+// the owning thread). The process-wide aggregate (the registry's arena.*
+// instruments, read through ArenaStats) is published from them, not counted
+// per allocation: publish() adds the counters' growth since the last
+// publish and the high-water mark of that window. reset(), the destructor
+// and core::Experiment::run() (on return) publish, so the aggregate is
+// exact at every quiescent point.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +41,7 @@ class Arena {
   static constexpr std::size_t kDefaultChunkBytes = 256 * 1024;
 
   explicit Arena(std::size_t chunk_bytes = kDefaultChunkBytes);
-  ~Arena();
+  ~Arena();  ///< publishes
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
@@ -51,8 +54,13 @@ class Arena {
   /// out since the last reset must be dead: the caller guarantees no
   /// Payload, container node or staged packet allocated from this arena is
   /// still alive (in the matrix runner that holds because each cell's
-  /// Testbed is destroyed before the worker resets).
+  /// Testbed is destroyed before the worker resets). Publishes first.
   void reset();
+
+  /// Add the allocations and bytes served since the last publish to the
+  /// registry's arena.allocations / arena.bytes_served, and record that
+  /// window's high-water mark of live bytes in arena.peak_bytes.
+  void publish();
 
   // ---- per-arena counters (always on; plain increments on the owning
   // ---- thread, so they cost nothing measurable) ----
@@ -88,8 +96,11 @@ class Arena {
   std::size_t chunk_bytes_;
   std::size_t in_use_ = 0;
   std::size_t peak_ = 0;
+  std::size_t window_peak_ = 0;  ///< high-water since the last publish()
   std::uint64_t allocations_ = 0;
   std::uint64_t bytes_served_ = 0;
+  std::uint64_t published_allocations_ = 0;
+  std::uint64_t published_bytes_ = 0;
 };
 
 /// RAII installer for the thread-local current arena. Passing nullptr keeps
@@ -109,8 +120,8 @@ class ArenaScope {
   bool installed_;
 };
 
-/// Process-wide aggregate of arena service, for the bench harness. Only
-/// counted when compiled with BNM_ARENA_STATS; otherwise everything reads 0.
+/// Process-wide aggregate of arena service, for the bench harness: what
+/// every arena has published so far (see Arena::publish()).
 struct ArenaStats {
   /// Allocation calls served by any arena (== global-allocator round trips
   /// avoided on the hot path).
@@ -120,8 +131,6 @@ struct ArenaStats {
   /// Largest bytes_in_use() any single arena reached.
   static std::uint64_t peak_arena_bytes();
   static void reset();
-  /// True when the library was compiled with BNM_ARENA_STATS.
-  static bool compiled_in();
 };
 
 /// Minimal std::allocator replacement that serves from the arena captured

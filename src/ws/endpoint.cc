@@ -177,9 +177,9 @@ void WebSocketClient::connect(net::Endpoint server, const std::string& path,
     }
     auto resp = pending->parser.take();
     if (!resp) return;
-    if (resp->status != 101 ||
-        resp->headers.get("Sec-WebSocket-Accept").value_or("") !=
-            accept_key_for(pending->key)) {
+    const std::string* accept = resp->headers.find("Sec-WebSocket-Accept");
+    if (resp->status != 101 || accept == nullptr ||
+        *accept != accept_key_for(pending->key)) {
       if (on_error_) on_error_("handshake rejected");
       pending->tcp->abort();
       return;
@@ -233,9 +233,8 @@ void WebSocketServer::on_accept(std::shared_ptr<net::TcpConnection> conn) {
     }
     auto req = pending->parser.take();
     if (!req) return;
-    const auto key = req->headers.get("Sec-WebSocket-Key");
-    const bool is_upgrade =
-        req->headers.get("Upgrade").has_value() && key.has_value();
+    const std::string* key = req->headers.find("Sec-WebSocket-Key");
+    const bool is_upgrade = req->headers.contains("Upgrade") && key != nullptr;
     if (!is_upgrade) {
       http::HttpResponse bad = http::HttpResponse::make(400, "not a websocket");
       bad.headers.set("Connection", "close");

@@ -1,7 +1,8 @@
 // Arena contract tests: alignment, chunk spill, reset()-and-reuse, the
 // thread-local scope machinery, per-thread isolation under the matrix
-// runner, and — the load-bearing guarantee — bit-identical experiment
-// results with arenas on and off.
+// runner, publication of the arena.* registry counters, and — the
+// load-bearing guarantee — bit-identical experiment results with arenas on
+// and off.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 
 #include "core/experiment.h"
 #include "core/parallel_runner.h"
+#include "obs/metrics.h"
 #include "sim/arena.h"
 
 namespace bnm::sim {
@@ -234,6 +236,73 @@ TEST(ArenaIdentity, PerWorkerArenasMatchSerialUnderRunMatrix) {
     SCOPED_TRACE("cell " + std::to_string(i));
     expect_identical(serial[i], parallel[i]);
   }
+}
+
+// --- arena.* registry counters: published, not counted per allocation ---
+
+TEST(ArenaPublish, StandaloneRunPublishesTheSimulationArena) {
+  core::ExperimentConfig cfg = small_matrix(/*runs=*/4)[0];
+  ASSERT_EQ(Arena::current(), nullptr);  // run() uses the testbed's arena
+  const std::uint64_t allocs_before = ArenaStats::allocations();
+  const std::uint64_t bytes_before = ArenaStats::bytes();
+  core::Experiment experiment{cfg};
+  experiment.run();
+  // Published when run() returned, with the arena still alive.
+  const Arena& arena = experiment.testbed().sim().arena();
+  ASSERT_GT(arena.allocations(), 0u);
+  EXPECT_EQ(ArenaStats::allocations() - allocs_before, arena.allocations());
+  EXPECT_EQ(ArenaStats::bytes() - bytes_before, arena.bytes_served());
+}
+
+TEST(ArenaPublish, PeakAfterStatsResetIsTheNextCellsPeak) {
+  // A pool worker's thread_local arena outlives ArenaStats::reset() between
+  // bench passes; the gauge must then show the next cell's peak, not the
+  // arena's lifetime high-water mark.
+  std::uint64_t peak = 0, allocs = 0, bytes = 0;
+  std::thread worker{[&] {
+    thread_local Arena worker_arena;
+    for (int i = 0; i < 4; ++i) worker_arena.allocate(16 * 1024);  // cell 1
+    worker_arena.reset();
+    ArenaStats::reset();
+    for (int i = 0; i < 3; ++i) worker_arena.allocate(1024);  // cell 2
+    worker_arena.reset();
+    peak = ArenaStats::peak_arena_bytes();
+    allocs = ArenaStats::allocations();
+    bytes = ArenaStats::bytes();
+    EXPECT_EQ(worker_arena.peak_bytes(), 64u * 1024u);  // lifetime
+  }};
+  worker.join();
+  EXPECT_EQ(peak, 3u * 1024u);
+  EXPECT_EQ(allocs, 3u);
+  EXPECT_EQ(bytes, 3u * 1024u);
+}
+
+TEST(ArenaPublish, DestructionPublishesUnresetService) {
+  ArenaStats::reset();
+  {
+    Arena arena;
+    arena.allocate(100);
+    arena.allocate(28);
+    EXPECT_EQ(ArenaStats::allocations(), 0u);  // not yet published
+  }
+  EXPECT_EQ(ArenaStats::allocations(), 2u);
+  EXPECT_EQ(ArenaStats::bytes(), 128u);
+  EXPECT_EQ(ArenaStats::peak_arena_bytes(), 128u);
+}
+
+TEST(ArenaPublish, SerialAndParallelSnapshotsAreIdentical) {
+  // The registry contract bench/obs_overhead gates: published arena.* (and
+  // every other metric) merge to the same snapshot at 1 and 4 jobs.
+  const auto cells = small_matrix();
+  auto& registry = obs::MetricsRegistry::instance();
+  registry.reset();
+  core::run_matrix(cells, /*jobs=*/1);
+  const std::string serial = registry.snapshot().to_json();
+  registry.reset();
+  core::run_matrix(cells, /*jobs=*/4);
+  const std::string parallel = registry.snapshot().to_json();
+  EXPECT_NE(serial.find("\"arena.allocations\""), std::string::npos);
+  EXPECT_EQ(serial, parallel);
 }
 
 }  // namespace

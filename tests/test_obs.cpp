@@ -7,8 +7,13 @@
 // because the no-allocation test replaces the global operator new, which
 // must not leak into the tier1 binary.
 #include <atomic>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <new>
 #include <string>
 #include <thread>
@@ -20,6 +25,7 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace_export.h"
+#include "sim/random.h"
 #include "sim/time.h"
 #include "sim/trace.h"
 
@@ -183,6 +189,66 @@ TEST(Metrics, RetiredShardsFoldExactly) {
   for (auto& w : workers) w.join();
   EXPECT_EQ(live_total, 333u);
   EXPECT_EQ(c.total(), 333u);  // folded into retired, nothing lost
+}
+
+// Each shard cell has one writer, so writes are a relaxed load + store.
+// Readers merging concurrently must see every cell move monotonically, and
+// the totals after the writers exit must be exact.
+TEST(Metrics, ConcurrentSnapshotsSeeMonotoneExactTotals) {
+  auto& reg = MetricsRegistry::instance();
+  const auto c = reg.counter("test.obs.stress.counter", "ops", "stress test");
+  const auto g = reg.gauge("test.obs.stress.gauge", "ops", "stress test");
+  const auto h =
+      reg.histogram("test.obs.stress.hist", "ops", "stress test", {10, 1000});
+  reg.reset();
+
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 100'000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::uint64_t i = 1; i <= kPerThread; ++i) {
+        c.add(1);
+        g.record_max(static_cast<std::uint64_t>(t) * kPerThread + i);
+        h.observe(i % 2000);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::uint64_t last = 0;
+  while (running.load() > 0) {
+    const std::uint64_t now = c.total();
+    EXPECT_GE(now, last);
+    last = now;
+    reg.snapshot();
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(c.total(), kThreads * kPerThread);
+  EXPECT_EQ(g.max_value(), kThreads * kPerThread);
+  EXPECT_EQ(h.count(), kThreads * kPerThread);
+}
+
+// A thread_local whose destructor runs after the thread's shard retired
+// (it was constructed before the thread's first metric write) must still
+// be counted.
+TEST(Metrics, WritesAfterShardRetirementAreCounted) {
+  auto& reg = MetricsRegistry::instance();
+  const auto c = reg.counter("test.obs.late.counter", "ops", "late writes");
+  reg.reset();
+  struct LateWriter {
+    const bnm::obs::Counter* counter = nullptr;
+    ~LateWriter() {
+      if (counter != nullptr) counter->add(5);
+    }
+  };
+  std::thread worker{[&] {
+    thread_local LateWriter late;  // constructed before the shard
+    late.counter = &c;
+    c.add(1);  // registers the shard: destroyed before `late`
+  }};
+  worker.join();
+  EXPECT_EQ(c.total(), 6u);
 }
 
 TEST(Prof, ScopeNestingAttributesTimeToEachSite) {
@@ -444,6 +510,42 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_TRUE(a->items()[4].is_null());
   // dump() round-trips our own output byte-for-byte.
   EXPECT_EQ(v->dump(), "{\"a\":[1,2.5,\"x\\n\",true,null]}");
+}
+
+// Report and checkpoint bytes depend on how doubles are printed: dump()
+// must keep producing exactly what printf("%.17g") produces.
+std::string printf_17g(double d) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  return buf;
+}
+
+TEST(Json, DoublesDumpExactlyAsPrintf17g) {
+  std::vector<double> values = {
+      0.0, -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(DBL_MIN, 0.0),  // largest denormal
+      -std::nextafter(DBL_MIN, 0.0),
+      DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, 0.1, -0.1};
+  const double two53 = 9007199254740992.0;
+  for (int k = -3; k <= 3; ++k) {
+    values.push_back(two53 + k);
+    values.push_back(-(two53 + k));
+  }
+  for (int e = -5; e <= 17; ++e) {
+    values.push_back(std::strtod(("1e" + std::to_string(e)).c_str(), nullptr));
+  }
+  bnm::sim::Rng rng{0x17A};
+  while (values.size() < 100'000 + 64) {
+    const std::uint64_t bits = rng.next_u64();
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  for (double d : values) {
+    ASSERT_EQ(bnm::obs::json::Value::number(d).dump(), printf_17g(d));
+  }
 }
 
 }  // namespace

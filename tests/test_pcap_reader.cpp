@@ -132,6 +132,49 @@ TEST(PcapReader, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// A classic pcap header (snaplen as given) and one record header claiming
+/// `incl_len` bytes, followed by `body` bytes.
+std::string pcap_with_record(std::uint32_t snaplen, std::uint32_t incl_len,
+                             std::size_t body) {
+  std::string out;
+  const auto u32 = [&out](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) out += static_cast<char>((v >> (8 * i)) & 0xff);
+  };
+  u32(0xa1b2c3d4);
+  u32(2 | (4u << 16));  // version 2.4
+  u32(0);               // thiszone
+  u32(0);               // sigfigs
+  u32(snaplen);
+  u32(PcapWriter::kLinkTypeRaw);
+  u32(1);  // ts_sec
+  u32(0);  // ts_usec
+  u32(incl_len);
+  u32(incl_len);  // orig_len
+  out.append(body, '\x45');
+  return out;
+}
+
+TEST(PcapReader, OversizeRecordIsATypedErrorNotAnAllocation) {
+  // 41 bytes whose record claims 3.75 GiB: rejected before allocating.
+  std::stringstream huge{pcap_with_record(65535, 0xF0000000u, 1)};
+  ASSERT_EQ(huge.str().size(), 41u);
+  const auto result = PcapReader::read(huge);
+  EXPECT_EQ(result.error, PcapReader::Error::kOversize);
+  EXPECT_TRUE(result.records.empty());
+  EXPECT_STREQ(PcapReader::error_name(result.error), "oversize");
+
+  // Above the header's own snaplen, though far below the hard cap.
+  std::stringstream over_snap{pcap_with_record(64, 65, 65)};
+  EXPECT_EQ(PcapReader::read(over_snap).error, PcapReader::Error::kOversize);
+  // Above the hard cap, whatever the snaplen says.
+  std::stringstream over_cap{
+      pcap_with_record(0xFFFFFFFFu, PcapReader::kMaxRecordBytes + 1, 0)};
+  EXPECT_EQ(PcapReader::read(over_cap).error, PcapReader::Error::kOversize);
+  // At the snaplen the record is read (and here fails as a bad IP frame).
+  std::stringstream at_snap{pcap_with_record(64, 64, 64)};
+  EXPECT_EQ(PcapReader::read(at_snap).error, PcapReader::Error::kBadIpHeader);
+}
+
 TEST(PcapReader, MissingFileErrors) {
   const auto result = PcapReader::read_file("/nonexistent/nope.pcap");
   EXPECT_FALSE(result.ok());

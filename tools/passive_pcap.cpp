@@ -109,7 +109,12 @@ int main(int argc, char** argv) {
   std::printf("wrote %s (%zu bytes)\n", pcap_path.c_str(), pcap_bytes);
 
   const net::PcapReader::Result parsed = net::PcapReader::read_file(pcap_path);
-  if (!parsed.ok() || parsed.records.size() != cap.size()) {
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "FAIL: cannot re-read %s: %s\n", pcap_path.c_str(),
+                 net::PcapReader::error_name(parsed.error));
+    return 1;
+  }
+  if (parsed.records.size() != cap.size()) {
     std::fprintf(stderr, "FAIL: pcap re-read lost records (%zu of %zu)\n",
                  parsed.records.size(), cap.size());
     return 1;
