@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus an ASan+UBSan pass, a perf gate, the
+# Tier-1 verification plus the golden report fingerprints (checked in the
+# plain, ASan+UBSan and Release builds), an ASan+UBSan pass, a perf gate, the
 # observability gates (obs tests, obs_overhead A/B, bench-JSON schemas),
 # the Release kernel gate (calendar-vs-heap bit-identity across the full
 # matrix + a scheduler events/sec floor), the campaign gates (100k-client
@@ -69,6 +70,9 @@ ctest --test-dir build -L campaign --output-on-failure
 step "passive: ctest (-L passive)"
 ctest --test-dir build -L passive --output-on-failure
 
+step "golden: ctest (-L golden)"
+ctest --test-dir build -L golden --output-on-failure
+
 if [[ "$FAST" == 1 ]]; then
   echo
   echo "check.sh: tier-1 OK (sanitizer and perf passes skipped with --fast)"
@@ -84,7 +88,7 @@ cmake -B build-asan-ubsan -S . $(gen_for build-asan-ubsan) \
   -DBNM_SANITIZE=address,undefined
 
 step "asan+ubsan: build tests"
-cmake --build build-asan-ubsan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bnm_obs_tests bnm_kernel_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests
+cmake --build build-asan-ubsan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bnm_obs_tests bnm_kernel_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests bnm_golden_tests
 
 step "asan+ubsan: ctest (every label: tier1, obs, perf, faults, ...)"
 ctest --test-dir build-asan-ubsan --output-on-failure
@@ -94,7 +98,12 @@ step "perf: configure (Release)"
 cmake -B build-release -S . $(gen_for build-release) -DCMAKE_BUILD_TYPE=Release
 
 step "perf: build bench"
-cmake --build build-release -j --target perf_matrix obs_overhead bench_schema_check chaos_matrix campaign_scale campaign passive_scale passive_pcap
+cmake --build build-release -j --target perf_matrix obs_overhead bench_schema_check chaos_matrix campaign_scale campaign passive_scale passive_pcap bnm_golden_tests
+
+step "golden: Release ctest (-L golden)"
+# The committed fingerprints carry no per-build-type variants: the
+# optimized build must reproduce every canonical report bit for bit too.
+ctest --test-dir build-release -L golden --output-on-failure
 
 step "perf: bench/perf_matrix --runs=4 (arena A/B gate)"
 # perf_matrix itself exits non-zero when the arena-off reference pass is not
@@ -112,10 +121,11 @@ fi
 
 step "resilience: checkpoint disabled-overhead gate (<1% or sub-ms noise)"
 # The crash-safe engine with every feature off must not tax healthy runs:
-# under 1% over legacy run_matrix, with a sub-millisecond absolute slack
-# because the full-matrix baseline is only ~30-60 ms and percentages of it
-# sit inside single-core VM jitter. perf_matrix already hard-fails when the
-# checked engine's results are not bit-identical to run_matrix's.
+# under 1% over a plain serial loop (one arena, run_experiment per cell,
+# then reset), with a sub-millisecond absolute slack because the
+# full-matrix baseline is only ~30-60 ms and percentages of it sit inside
+# single-core VM jitter. perf_matrix already hard-fails when the checked
+# engine's results are not bit-identical to that loop's.
 CK_PCT=$(sed -n 's/.*"disabled_overhead_percent": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
   build-release/BENCH_perf_matrix.json | head -n1)
 CK_DELTA=$(sed -n 's/.*"disabled_delta_ms": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
@@ -126,10 +136,10 @@ if [[ -z "$CK_PCT" || -z "$CK_DELTA" ]]; then
 fi
 if ! awk -v pct="$CK_PCT" -v delta="$CK_DELTA" \
     'BEGIN { exit (pct + 0 < 1.0 || delta + 0 < 1.0) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — disabled crash-safe engine costs ${CK_PCT}% (${CK_DELTA} ms) over run_matrix" >&2
+  echo "check.sh: FAIL — disabled crash-safe engine costs ${CK_PCT}% (${CK_DELTA} ms) over a plain serial loop" >&2
   exit 1
 fi
-echo "checkpoint overhead gate OK: disabled engine ${CK_PCT}% (${CK_DELTA} ms) vs run_matrix"
+echo "checkpoint overhead gate OK: disabled engine ${CK_PCT}% (${CK_DELTA} ms) vs a plain serial loop"
 
 step "kernel: Release gate (calendar/heap identity + throughput floor)"
 # The calendar queue must reproduce the binary-heap reference bit-for-bit

@@ -4,9 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -67,36 +66,6 @@ const obs::Counter& progress_errors_counter() {
       "campaign progress-callback exceptions absorbed");
   return c;
 }
-
-// ---------------------------------------------------------------------------
-// Spec hashing: FNV-1a over the population-defining fields, bit patterns
-// for doubles (same discipline as cell_config_hash). The shard count and
-// everything in CampaignOptions are excluded on purpose: they change how
-// the campaign executes, never what it measures.
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-class SpecHasher {
- public:
-  void u64(std::uint64_t v) {
-    const auto* p = reinterpret_cast<const unsigned char*>(&v);
-    for (std::size_t i = 0; i < sizeof v; ++i) {
-      h_ ^= p[i];
-      h_ *= kFnvPrime;
-    }
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = kFnvOffset;
-};
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
@@ -164,10 +133,13 @@ bool read_sketch(const Value* v, stats::QuantileSketch* expected) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Spec hash.
+// Spec hash: Fnv (checkpoint.h) over the population-defining fields, bit
+// patterns for doubles. The shard count and everything in CampaignOptions
+// are excluded on purpose: they change how the campaign executes, never
+// what it measures.
 
 std::uint64_t campaign_spec_hash(const CampaignSpec& spec) {
-  SpecHasher h;
+  Fnv h;
   h.u64(0xB14CA4BA16ULL);  // format salt
   h.u64(spec.seed);
   h.u64(spec.clients);
@@ -508,85 +480,32 @@ bool CampaignAggregate::from_json(const obs::json::Value& v,
 }
 
 // ---------------------------------------------------------------------------
-// Campaign checkpoint: one record per completed shard, same atomic
-// temp+rename persistence as the matrix checkpoint. Records re-serialize
-// from the canonical aggregate encoding on every flush, so a resumed
+// Campaign checkpoint: one record per completed shard, written by the
+// matrix's CheckpointWriter. Records encode the canonical aggregate, and
+// preloaded ones are re-encoded from the parsed aggregate, so a resumed
 // checkpoint file converges to exactly what an uninterrupted run writes.
 
 namespace {
 
-class CampaignCheckpoint {
- public:
-  CampaignCheckpoint(std::string path, const CampaignSpec& spec,
-                     std::size_t shards, int flush_every)
-      : path_{std::move(path)},
-        spec_hash_{campaign_spec_hash_hex(spec)},
-        clients_{spec.clients},
-        shards_{shards},
-        flush_every_{flush_every < 1 ? 1 : flush_every} {}
+CheckpointFormat campaign_checkpoint_format(const CampaignSpec& spec,
+                                            std::size_t shards) {
+  CheckpointFormat f;
+  f.header = Value::object();
+  f.header.add("format", Value::string(kCampaignCheckpointFormat));
+  f.header.add("version", Value::integer(kCampaignCheckpointVersion));
+  f.header.add("spec_hash", Value::string(campaign_spec_hash_hex(spec)));
+  f.header.add("clients", u64_json(spec.clients));
+  f.header.add("shards", u64_json(shards));
+  f.flushes = &checkpoint_flushes_counter();
+  return f;
+}
 
-  void preload(std::size_t shard, CampaignAggregate state) {
-    std::lock_guard<std::mutex> lock{mu_};
-    records_.insert_or_assign(shard, std::move(state));
-  }
-
-  void add(std::size_t shard, const CampaignAggregate& state) {
-    std::string contents;
-    {
-      std::lock_guard<std::mutex> lock{mu_};
-      records_.insert_or_assign(shard, state);
-      if (++unflushed_ < flush_every_) return;
-      unflushed_ = 0;
-      contents = render_locked();
-    }
-    write(contents);
-  }
-
-  bool flush() {
-    std::string contents;
-    {
-      std::lock_guard<std::mutex> lock{mu_};
-      unflushed_ = 0;
-      contents = render_locked();
-    }
-    return write(contents);
-  }
-
- private:
-  std::string render_locked() const {
-    Value v = Value::object();
-    v.add("format", Value::string(kCampaignCheckpointFormat));
-    v.add("version", Value::integer(kCampaignCheckpointVersion));
-    v.add("spec_hash", Value::string(spec_hash_));
-    v.add("clients", u64_json(clients_));
-    v.add("shards", u64_json(shards_));
-    Value records = Value::array();
-    for (const auto& [shard, state] : records_) {
-      Value r = Value::object();
-      r.add("shard", u64_json(shard));
-      r.add("state", state.to_json());
-      records.push(std::move(r));
-    }
-    v.add("records", std::move(records));
-    return v.dump();
-  }
-
-  bool write(const std::string& contents) {
-    BNM_PROF_SCOPE("campaign.checkpoint_flush");
-    if (!write_file_atomic(path_, contents)) return false;
-    checkpoint_flushes_counter().add();
-    return true;
-  }
-
-  std::string path_;
-  std::string spec_hash_;
-  std::uint64_t clients_;
-  std::size_t shards_;
-  int flush_every_;
-  mutable std::mutex mu_;
-  int unflushed_ = 0;
-  std::map<std::size_t, CampaignAggregate> records_;  ///< by shard index
-};
+Value shard_record(std::size_t shard, const CampaignAggregate& state) {
+  Value r = Value::object();
+  r.add("shard", u64_json(shard));
+  r.add("state", state.to_json());
+  return r;
+}
 
 /// Load a campaign checkpoint and return per-shard aggregates. Forgiving
 /// like CheckpointReader: anything unusable degrades to "no records".
@@ -632,16 +551,6 @@ std::map<std::size_t, CampaignAggregate> load_campaign_checkpoint(
   return out;
 }
 
-/// Shared completion state for the serial and pooled paths.
-struct CampaignState {
-  std::mutex mu;
-  CampaignResult* result = nullptr;
-  const CampaignOptions* options = nullptr;
-  CampaignCheckpoint* checkpoint = nullptr;  ///< nullptr = off
-  std::size_t done = 0;
-  std::chrono::steady_clock::time_point started;
-};
-
 /// Simulate clients [first, last) into a fresh aggregate. Runs with an
 /// arena scope active; the arena is rewound wholesale after every client
 /// (the testbed dies with run_experiment; the aggregate uses the global
@@ -666,46 +575,6 @@ CampaignAggregate run_shard_clients(const CampaignSampler& sampler,
   return agg;
 }
 
-/// Fold one executed shard into the result: merge, checkpoint, metrics,
-/// trace span, then the guarded progress callback — checkpoint strictly
-/// before progress so a --kill-after harness that dies inside the callback
-/// finds the shard durable on resume.
-void finish_shard(CampaignState& st, std::size_t shard,
-                  const CampaignAggregate& agg,
-                  std::chrono::steady_clock::time_point shard_start) {
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock{st.mu};
-  st.result->aggregate.merge(agg);
-  ++st.result->shards_run;
-  shards_completed_counter().add();
-  clients_simulated_counter().add(agg.clients);
-  samples_counter().add(agg.samples);
-  if (st.checkpoint) st.checkpoint->add(shard, agg);
-  if (st.options->trace) {
-    const auto since = [&](std::chrono::steady_clock::time_point t) {
-      return sim::Duration::nanos(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t - st.started)
-              .count());
-    };
-    st.options->trace->emit_span(
-        sim::TimePoint::epoch() + since(shard_start), since(now) - since(shard_start),
-        "campaign", "shard",
-        {{"shard", static_cast<std::int64_t>(shard)},
-         {"clients", static_cast<std::int64_t>(agg.clients)},
-         {"samples", static_cast<std::int64_t>(agg.samples)},
-         {"failed_clients", static_cast<std::int64_t>(agg.failed_clients)}});
-  }
-  ++st.done;
-  if (st.options->progress) {
-    try {
-      st.options->progress(st.done, st.result->shards);
-    } catch (...) {
-      ++st.result->progress_errors;
-      progress_errors_counter().add();
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -727,82 +596,88 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   result.profile_labels = sampler.profile_labels();
   result.shards = shards;
 
-  std::unique_ptr<CampaignCheckpoint> checkpoint;
-  std::vector<bool> resumed(shards, false);
+  std::unique_ptr<CheckpointWriter> checkpoint;
+  std::vector<char> resumed(shards, 0);
   if (!options.checkpoint.empty()) {
-    checkpoint = std::make_unique<CampaignCheckpoint>(
-        options.checkpoint, spec, shards, options.flush_every);
+    checkpoint = std::make_unique<CheckpointWriter>(
+        options.checkpoint, campaign_checkpoint_format(spec, shards),
+        options.flush_every);
     if (options.resume) {
-      std::map<std::size_t, CampaignAggregate> stored =
-          load_campaign_checkpoint(options.checkpoint, spec, shards,
-                                   sampler.profile_count());
-      for (auto& [shard, agg] : stored) {
+      for (const auto& [shard, agg] :
+           load_campaign_checkpoint(options.checkpoint, spec, shards,
+                                    sampler.profile_count())) {
         result.aggregate.merge(agg);
-        resumed[shard] = true;
+        resumed[shard] = 1;
         ++result.shards_resumed;
         shards_resumed_counter().add();
-        checkpoint->preload(shard, std::move(agg));
+        checkpoint->preload(shard, shard_record(shard, agg));
       }
     }
   }
 
-  CampaignState st;
-  st.result = &result;
-  st.options = &options;
-  st.checkpoint = checkpoint.get();
-  st.done = result.shards_resumed;
-  st.started = std::chrono::steady_clock::now();
-
-  const auto shard_range = [&](std::size_t shard) {
-    const std::uint64_t first = spec.clients * shard / shards;
-    const std::uint64_t last = spec.clients * (shard + 1) / shards;
-    return std::pair<std::uint64_t, std::uint64_t>{first, last};
+  // A shard's aggregate waits here between its run and its finish (the
+  // merge under the loop's lock). Empty until then — even a default
+  // aggregate allocates sketch buckets — so at most `jobs` are live.
+  struct ShardRun {
+    std::optional<CampaignAggregate> agg;
+    std::chrono::steady_clock::time_point start, end;
   };
-  const auto cancel_requested = [&] {
-    return options.cancel &&
-           options.cancel->load(std::memory_order_acquire);
+  std::vector<ShardRun> runs(shards);
+  const auto started = std::chrono::steady_clock::now();
+  const auto since_start = [&](std::chrono::steady_clock::time_point t) {
+    return sim::Duration::nanos(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - started)
+            .count());
   };
 
-  const int jobs = resolve_jobs(options.jobs, shards);
-  if (jobs == 1) {
-    sim::Arena arena;
-    sim::ArenaScope scope{&arena};
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      if (resumed[shard]) continue;
-      if (cancel_requested()) {
-        result.cancelled = true;
-        break;
-      }
-      const auto [first, last] = shard_range(shard);
-      const auto t0 = std::chrono::steady_clock::now();
-      const CampaignAggregate agg =
-          run_shard_clients(sampler, spec, first, last, arena);
-      finish_shard(st, shard, agg, t0);
-    }
-  } else {
-    ThreadPool pool{jobs};
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      if (resumed[shard]) continue;
-      pool.submit([&, shard] {
-        if (cancel_requested()) {
-          std::lock_guard<std::mutex> lock{st.mu};
-          result.cancelled = true;
-          return;  // graceful drain: in-flight shards finish
+  const TaskLoopResult loop = run_task_loop(
+      resumed, options.jobs, options.cancel,
+      [&](std::size_t shard, sim::Arena& arena) {
+        const std::uint64_t first = spec.clients * shard / shards;
+        const std::uint64_t last = spec.clients * (shard + 1) / shards;
+        ShardRun& run = runs[shard];
+        run.start = std::chrono::steady_clock::now();
+        run.agg = run_shard_clients(sampler, spec, first, last, arena);
+        run.end = std::chrono::steady_clock::now();
+      },
+      // Merge, metrics, checkpoint, trace span — all before the loop's
+      // progress callback, so a --kill-after harness that dies inside the
+      // callback finds the shard durable on resume.
+      [&](std::size_t shard) {
+        const ShardRun run = std::exchange(runs[shard], {});
+        const CampaignAggregate& agg = *run.agg;
+        result.aggregate.merge(agg);
+        ++result.shards_run;
+        shards_completed_counter().add();
+        clients_simulated_counter().add(agg.clients);
+        samples_counter().add(agg.samples);
+        if (checkpoint) checkpoint->add(shard, shard_record(shard, agg));
+        if (options.trace) {
+          options.trace->emit_span(
+              sim::TimePoint::epoch() + since_start(run.start),
+              since_start(run.end) - since_start(run.start), "campaign",
+              "shard",
+              {{"shard", static_cast<std::int64_t>(shard)},
+               {"clients", static_cast<std::int64_t>(agg.clients)},
+               {"samples", static_cast<std::int64_t>(agg.samples)},
+               {"failed_clients",
+                static_cast<std::int64_t>(agg.failed_clients)}});
         }
-        thread_local sim::Arena worker_arena;
-        sim::ArenaScope scope{&worker_arena};
-        const auto [first, last] = shard_range(shard);
-        const auto t0 = std::chrono::steady_clock::now();
-        const CampaignAggregate agg =
-            run_shard_clients(sampler, spec, first, last, worker_arena);
-        finish_shard(st, shard, agg, t0);
-      });
-    }
-    pool.wait_idle();
-  }
+      },
+      options.progress);
+  result.cancelled = loop.cancelled;
+  result.progress_errors = loop.progress_errors;
+  progress_errors_counter().add(loop.progress_errors);
 
-  if (checkpoint && !result.cancelled && result.shards_run > 0) {
-    checkpoint->flush();  // final rewrite covers any flush_every remainder
+  // The final rewrite covers any flush_every remainder. After a graceful
+  // cancel only that remainder is written, so the shards that did complete
+  // survive for the resume.
+  if (checkpoint && result.shards_run > 0) {
+    if (result.cancelled) {
+      checkpoint->flush_pending();
+    } else {
+      checkpoint->flush();
+    }
   }
   return result;
 }

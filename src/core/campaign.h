@@ -1,22 +1,24 @@
 // Fleet-scale measurement campaigns over the crash-safe engine.
 //
 // A matrix run (parallel_runner.h) answers "what do these exact cells
-// produce?" and keeps every sample. A *campaign* answers the population
-// question the paper's §6 deployment implies — "across 100k heterogeneous
-// clients, what delay accuracy does each method/profile deliver?" — and
-// keeping every sample would cost O(clients · samples) memory. The campaign
-// layer therefore aggregates as it goes:
+// produce?" and keeps every sample. A campaign runs on the same engine —
+// one shard per task of run_task_loop, one CheckpointWriter — but answers
+// the population question the paper's §6 deployment implies — "across 100k
+// heterogeneous clients, what delay accuracy does each method/profile
+// deliver?" — and keeping every sample would cost O(clients · samples)
+// memory. The campaign layer therefore aggregates as it goes:
 //
 //   * CampaignSpec samples a client population deterministically: a
 //     (browser, OS) case mix, a probe-method mix filtered by each case's
 //     capabilities, and per-client path conditions (log-normal RTT,
 //     bandwidth choices, a lossy fraction). Client k's configuration is a
 //     pure function of (spec, k) — never of the shard layout.
-//   * Clients are partitioned into contiguous shards. Each shard folds its
-//     clients into a CampaignAggregate: per-method and per-profile
-//     stats::QuantileSketch grids, fixed-bucket overhead histograms (the
-//     same bounds as the registry's experiment.browser_overhead_us), and
-//     resilience counters. Aggregate state is a few hundred KB regardless
+//   * Clients are partitioned into contiguous shards, one engine task each;
+//     the shard body rewinds the thread's arena after every client. Each
+//     shard folds its clients into a CampaignAggregate: per-method and
+//     per-profile stats::QuantileSketch grids, fixed-bucket overhead
+//     histograms (the same bounds as the registry's
+//     experiment.browser_overhead_us), and resilience counters. Aggregate state is a few hundred KB regardless
 //     of client count, so campaign memory is O(shards), not
 //     O(clients · samples).
 //   * Shard aggregates merge with exact integer/extremum arithmetic —
@@ -24,11 +26,12 @@
 //     whether the campaign ran on 1 shard serially or N shards on a pool,
 //     and whether it ran straight through or was killed and resumed.
 //     scripts/check.sh gates both identities on every run.
-//   * Checkpoint/resume reuses core/checkpoint.h's atomic temp+rename
-//     persistence: one record per completed shard, keyed by a stable hash
-//     of every population-affecting spec field. tools/campaign --kill-after
-//     exercises the crash path the same way tools/chaos_matrix does for
-//     matrices.
+//   * Checkpoint/resume goes through core/checkpoint.h's CheckpointWriter
+//     with the campaign header: one record per completed shard, keyed by a
+//     stable Fnv hash of every population-affecting spec field, flushed
+//     atomically before each progress callback and once more at the end —
+//     after a graceful cancel too. tools/campaign --kill-after exercises
+//     the crash path the same way tools/chaos_matrix does for matrices.
 //
 // DESIGN.md §3h documents the architecture and the sketch's error bound;
 // docs/BENCH_SCHEMAS.md documents the report and checkpoint formats.
@@ -239,9 +242,9 @@ struct CampaignResult {
   bool cancelled = false;
 };
 
-/// Run the campaign: sample the population, execute shards (serial when
-/// resolved jobs == 1, ThreadPool otherwise), checkpoint completed shards,
-/// and merge everything into one aggregate.
+/// Run the campaign: sample the population, execute shards on
+/// run_task_loop (serial when resolved jobs == 1, ThreadPool otherwise),
+/// checkpoint completed shards, and merge everything into one aggregate.
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const CampaignOptions& options = {});
 

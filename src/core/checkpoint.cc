@@ -1,9 +1,8 @@
 #include "core/checkpoint.h"
 
 #include <cstdio>
-#include <cstring>
+#include <utility>
 
-#include "obs/metrics.h"
 #include "obs/prof.h"
 
 namespace bnm::core {
@@ -12,41 +11,7 @@ namespace {
 using obs::json::Value;
 
 // ---------------------------------------------------------------------------
-// Config hashing: FNV-1a over the bit patterns of every behaviour-affecting
-// field. Doubles are hashed by bit pattern (memcpy), not by value, so any
-// representable change — including the sign of zero — changes the hash.
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-class Fnv {
- public:
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= kFnvPrime;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void b(bool v) { u64(v ? 1 : 0); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void dur(sim::Duration d) { i64(d.ns()); }
-  void tp(sim::TimePoint t) { i64(t.ns_since_epoch()); }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = kFnvOffset;
-};
+// Config hashing: Fnv (checkpoint.h) over every behaviour-affecting field.
 
 void hash_fault_plan(Fnv& h, const std::optional<net::FaultPlan>& plan) {
   h.b(plan.has_value());
@@ -179,7 +144,54 @@ bool sample_from_json(const Value& v, OverheadSample* out) {
   return true;
 }
 
-bool write_atomically(const std::string& path, const std::string& contents) {
+// --- metrics (docs/OBSERVABILITY.md catalog) -------------------------------
+
+const obs::Counter& cells_written_counter() {
+  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
+      "checkpoint.cells_written", "cells",
+      "completed cells recorded in a matrix checkpoint");
+  return c;
+}
+
+const obs::Counter& flushes_counter() {
+  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
+      "checkpoint.flushes", "flushes",
+      "atomic matrix-checkpoint rewrites (temp file + rename)");
+  return c;
+}
+
+const obs::Counter& bytes_written_counter() {
+  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
+      "checkpoint.bytes_written", "bytes",
+      "matrix-checkpoint JSON bytes persisted across all flushes");
+  return c;
+}
+
+CheckpointFormat matrix_format(std::size_t total_cells) {
+  CheckpointFormat f;
+  f.header = Value::object();
+  f.header.add("format", Value::string(kCheckpointFormat));
+  f.header.add("version", Value::integer(kCheckpointVersion));
+  f.header.add("cells", Value::integer(static_cast<std::int64_t>(total_cells)));
+  f.trailing_newline = true;
+  f.records_added = &cells_written_counter();
+  f.flushes = &flushes_counter();
+  f.bytes_written = &bytes_written_counter();
+  return f;
+}
+
+Value matrix_record(std::size_t cell, const std::string& config_hash,
+                    const OverheadSeries& series) {
+  Value r = Value::object();
+  r.add("cell", Value::integer(static_cast<std::int64_t>(cell)));
+  r.add("config_hash", Value::string(config_hash));
+  r.add("series", series_to_json(series));
+  return r;
+}
+
+}  // namespace
+
+bool write_file_atomic(const std::string& path, const std::string& contents) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (!f) return false;
@@ -196,7 +208,7 @@ bool write_atomically(const std::string& path, const std::string& contents) {
   return true;
 }
 
-std::optional<std::string> read_file(const std::string& path) {
+std::optional<std::string> read_file_contents(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) return std::nullopt;
   std::string out;
@@ -207,39 +219,6 @@ std::optional<std::string> read_file(const std::string& path) {
   std::fclose(f);
   if (err) return std::nullopt;
   return out;
-}
-
-// --- metrics (docs/OBSERVABILITY.md catalog) -------------------------------
-
-const obs::Counter& cells_written_counter() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "checkpoint.cells_written", "cells",
-      "completed cells recorded by CheckpointWriter::add");
-  return c;
-}
-
-const obs::Counter& flushes_counter() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "checkpoint.flushes", "flushes",
-      "atomic checkpoint rewrites (temp file + rename)");
-  return c;
-}
-
-const obs::Counter& bytes_written_counter() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "checkpoint.bytes_written", "bytes",
-      "checkpoint JSON bytes persisted across all flushes");
-  return c;
-}
-
-}  // namespace
-
-bool write_file_atomic(const std::string& path, const std::string& contents) {
-  return write_atomically(path, contents);
-}
-
-std::optional<std::string> read_file_contents(const std::string& path) {
-  return read_file(path);
 }
 
 std::uint64_t cell_config_hash(const ExperimentConfig& config) {
@@ -352,37 +331,50 @@ std::optional<OverheadSeries> series_from_json(const obs::json::Value& v) {
 // ---------------------------------------------------------------------------
 // Writer.
 
-CheckpointWriter::CheckpointWriter(std::string path, std::size_t total_cells,
+CheckpointWriter::CheckpointWriter(std::string path, CheckpointFormat format,
                                    int flush_every)
     : path_{std::move(path)},
-      total_cells_{total_cells},
-      flush_every_{flush_every < 1 ? 1 : flush_every} {}
+      head_{format.header.dump()},
+      format_{std::move(format)},
+      flush_every_{flush_every < 1 ? 1 : flush_every} {
+  head_.pop_back();  // reopen the header object: "records" follows
+}
 
-void CheckpointWriter::add(std::size_t cell, const ExperimentConfig& config,
-                           const OverheadSeries& series) {
+CheckpointWriter::CheckpointWriter(std::string path, std::size_t total_cells,
+                                   int flush_every)
+    : CheckpointWriter{std::move(path), matrix_format(total_cells),
+                       flush_every} {}
+
+void CheckpointWriter::add(std::size_t task, obs::json::Value record) {
+  std::string encoded = record.dump();
   bool do_flush = false;
   {
     std::lock_guard<std::mutex> lock{mu_};
-    CheckpointRecord& rec = records_[cell];
-    rec.cell = cell;
-    rec.config_hash = cell_config_hash_hex(config);
-    rec.series = series;
+    records_.insert_or_assign(task, std::move(encoded));
     if (++unflushed_ >= flush_every_) {
       unflushed_ = 0;
       do_flush = true;
     }
   }
-  cells_written_counter().add();
+  if (format_.records_added) format_.records_added->add();
   if (do_flush) flush();
 }
 
-void CheckpointWriter::preload(std::size_t cell, std::string config_hash,
-                               OverheadSeries series) {
+void CheckpointWriter::add(std::size_t cell, const ExperimentConfig& config,
+                           const OverheadSeries& series) {
+  add(cell, matrix_record(cell, cell_config_hash_hex(config), series));
+}
+
+void CheckpointWriter::preload(std::size_t task, obs::json::Value record) {
+  std::string encoded = record.dump();
   std::lock_guard<std::mutex> lock{mu_};
-  CheckpointRecord& rec = records_[cell];
-  rec.cell = cell;
-  rec.config_hash = std::move(config_hash);
-  rec.series = std::move(series);
+  records_.insert_or_assign(task, std::move(encoded));
+}
+
+void CheckpointWriter::preload(std::size_t cell,
+                               const std::string& config_hash,
+                               const OverheadSeries& series) {
+  preload(cell, matrix_record(cell, config_hash, series));
 }
 
 std::size_t CheckpointWriter::records() const {
@@ -390,35 +382,35 @@ std::size_t CheckpointWriter::records() const {
   return records_.size();
 }
 
-std::string CheckpointWriter::render_locked() const {
-  Value root = Value::object();
-  root.add("format", Value::string(kCheckpointFormat));
-  root.add("version", Value::integer(kCheckpointVersion));
-  root.add("cells", Value::integer(static_cast<std::int64_t>(total_cells_)));
-  Value records = Value::array();
-  for (const auto& [cell, rec] : records_) {  // std::map: sorted by cell
-    Value r = Value::object();
-    r.add("cell", Value::integer(static_cast<std::int64_t>(cell)));
-    r.add("config_hash", Value::string(rec.config_hash));
-    r.add("series", series_to_json(rec.series));
-    records.push(std::move(r));
+bool CheckpointWriter::flush_pending() {
+  {
+    std::lock_guard<std::mutex> lock{mu_};
+    if (unflushed_ == 0) return true;
   }
-  root.add("records", std::move(records));
-  std::string out = root.dump();
-  out += '\n';
-  return out;
+  return flush();
 }
 
 bool CheckpointWriter::flush() {
   BNM_PROF_SCOPE("checkpoint.flush");
-  std::string contents;
+  // Byte-for-byte what dump() of the whole document would produce; the
+  // records were encoded once, at add(), so a rewrite only concatenates.
+  std::string contents = head_;
+  contents += ",\"records\":[";
   {
     std::lock_guard<std::mutex> lock{mu_};
-    contents = render_locked();
+    unflushed_ = 0;
+    bool first = true;
+    for (const auto& [task, encoded] : records_) {  // std::map: by task
+      if (!first) contents += ',';
+      first = false;
+      contents += encoded;
+    }
   }
-  if (!write_atomically(path_, contents)) return false;
-  flushes_counter().add();
-  bytes_written_counter().add(contents.size());
+  contents += "]}";
+  if (format_.trailing_newline) contents += '\n';
+  if (!write_file_atomic(path_, contents)) return false;
+  if (format_.flushes) format_.flushes->add();
+  if (format_.bytes_written) format_.bytes_written->add(contents.size());
   return true;
 }
 
@@ -430,7 +422,7 @@ std::optional<CheckpointReader> CheckpointReader::load(const std::string& path,
   const auto set_error = [&](const std::string& what) {
     if (error) *error = what;
   };
-  std::optional<std::string> text = read_file(path);
+  std::optional<std::string> text = read_file_contents(path);
   if (!text) {
     set_error("cannot read " + path);
     return std::nullopt;
@@ -510,11 +502,7 @@ std::string matrix_report_json(const std::vector<ExperimentConfig>& cells,
   const std::size_t n = cells.size() < results.size() ? cells.size()
                                                       : results.size();
   for (std::size_t i = 0; i < n; ++i) {
-    Value r = Value::object();
-    r.add("cell", Value::integer(static_cast<std::int64_t>(i)));
-    r.add("config_hash", Value::string(cell_config_hash_hex(cells[i])));
-    r.add("series", series_to_json(results[i]));
-    out.push(std::move(r));
+    out.push(matrix_record(i, cell_config_hash_hex(cells[i]), results[i]));
   }
   root.add("results", std::move(out));
   std::string text = root.dump();
@@ -525,7 +513,7 @@ std::string matrix_report_json(const std::vector<ExperimentConfig>& cells,
 bool write_matrix_report(const std::string& path,
                          const std::vector<ExperimentConfig>& cells,
                          const std::vector<OverheadSeries>& results) {
-  return write_atomically(path, matrix_report_json(cells, results));
+  return write_file_atomic(path, matrix_report_json(cells, results));
 }
 
 }  // namespace bnm::core

@@ -4,6 +4,7 @@
 #include <exception>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -83,17 +84,6 @@ void ThreadPool::wait_idle() {
   idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-std::size_t ThreadPool::cancel() {
-  std::size_t dropped = 0;
-  {
-    std::lock_guard<std::mutex> lock{mu_};
-    dropped = queue_.size();
-    queue_.clear();
-    if (in_flight_ == 0) idle_.notify_all();
-  }
-  return dropped;
-}
-
 std::vector<TaskFailure> ThreadPool::failures() const {
   std::lock_guard<std::mutex> lock{mu_};
   return failures_;
@@ -137,104 +127,72 @@ int resolve_jobs(int jobs, std::size_t cells) {
   return jobs;
 }
 
-namespace {
+TaskLoopResult run_task_loop(
+    const std::vector<char>& skip, int jobs, const std::atomic<bool>* cancel,
+    const std::function<void(std::size_t, sim::Arena&)>& run,
+    const std::function<void(std::size_t)>& finish,
+    const MatrixProgress& progress) {
+  TaskLoopResult result;
+  std::mutex mu;  // guards result and done; serializes finish + progress
+  std::size_t done = static_cast<std::size_t>(
+      std::count_if(skip.begin(), skip.end(), [](char s) { return s != 0; }));
 
-OverheadSeries run_cell_guarded(const ExperimentConfig& config,
-                                const CellRunner& cell) {
-  BNM_PROF_SCOPE("matrix.cell");
-  try {
-    return cell(config);
-  } catch (const std::exception& e) {
-    OverheadSeries failed;
-    failed.config = config;
-    failed.failures = config.runs;
-    failed.first_error = std::string{"uncaught exception: "} + e.what();
-    return failed;
-  } catch (...) {
-    OverheadSeries failed;
-    failed.config = config;
-    failed.failures = config.runs;
-    failed.first_error = "uncaught exception (non-standard)";
-    return failed;
-  }
-}
-
-/// Invoke the user's progress callback without letting it take the run
-/// down: the exception is counted and (optionally) recorded, and the
-/// matrix keeps draining. Caller already holds whatever lock serializes
-/// progress invocations.
-void call_progress_guarded(const MatrixProgress& progress, std::size_t done,
-                           std::size_t total,
-                           std::size_t* error_count = nullptr,
-                           std::string* first_error = nullptr) {
-  if (!progress) return;
-  try {
-    progress(done, total);
-  } catch (const std::exception& e) {
-    RunnerMetrics::get().progress_errors.add();
-    if (error_count) ++*error_count;
-    if (first_error && first_error->empty()) *first_error = e.what();
-  } catch (...) {
-    RunnerMetrics::get().progress_errors.add();
-    if (error_count) ++*error_count;
-    if (first_error && first_error->empty()) {
-      *first_error = "non-standard exception";
+  const auto run_one = [&](std::size_t i, sim::Arena& arena) {
+    if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lock{mu};
+      result.cancelled = true;
+      return;  // graceful drain: skip, let in-flight tasks finish
     }
-  }
-}
+    run(i, arena);
+    // Whatever the task allocated from the arena is dead by now (its
+    // testbeds are gone; results use the global allocator): rewind it
+    // wholesale instead of freeing packet by packet.
+    arena.reset();
+    std::lock_guard<std::mutex> lock{mu};
+    finish(i);
+    if (!progress) return;
+    try {
+      progress(++done, skip.size());
+    } catch (const std::exception& e) {
+      if (result.progress_errors++ == 0) result.progress_error = e.what();
+    } catch (...) {
+      if (result.progress_errors++ == 0) {
+        result.progress_error = "non-standard exception";
+      }
+    }
+  };
 
-}  // namespace
-
-std::vector<OverheadSeries> run_matrix_with(
-    const std::vector<ExperimentConfig>& cells, int jobs,
-    const CellRunner& cell, MatrixProgress progress) {
-  std::vector<OverheadSeries> results(cells.size());
-  if (cells.empty()) return results;
-
-  jobs = resolve_jobs(jobs, cells.size());
-  if (jobs == 1) {
-    // Degenerate serial path: same per-cell computation on the calling
-    // thread — the reference the parallel path must match byte for byte.
-    // One arena serves every cell, rewound wholesale between cells (the
-    // cell's testbed — and with it everything arena-allocated — is gone by
-    // the time run_cell_guarded returns; the result series itself uses the
-    // global allocator).
+  const int workers = resolve_jobs(jobs, skip.size());
+  if (workers == 1) {
     sim::Arena arena;
     sim::ArenaScope scope{&arena};
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      results[i] = run_cell_guarded(cells[i], cell);
-      arena.reset();
-      call_progress_guarded(progress, i + 1, cells.size());
+    for (std::size_t i = 0; i < skip.size(); ++i) {
+      if (!skip[i]) run_one(i, arena);
     }
-    return results;
+    return result;
   }
-
-  ThreadPool pool{jobs};
-  std::mutex progress_mu;
-  std::size_t done = 0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    pool.submit([&, i] {
-      // Each worker thread keeps a private arena: matrix shards bump their
-      // own slabs instead of contending on the global allocator, and a
-      // wholesale reset between cells replaces per-packet frees.
+  ThreadPool pool{workers};
+  for (std::size_t i = 0; i < skip.size(); ++i) {
+    if (skip[i]) continue;
+    pool.submit([&run_one, i] {
+      // Each worker keeps a private arena: tasks bump their own slabs
+      // instead of contending on the global allocator.
       thread_local sim::Arena worker_arena;
       sim::ArenaScope scope{&worker_arena};
-      results[i] = run_cell_guarded(cells[i], cell);
-      worker_arena.reset();
-      std::lock_guard<std::mutex> lock{progress_mu};
-      call_progress_guarded(progress, ++done, cells.size());
+      run_one(i, worker_arena);
     });
   }
   pool.wait_idle();
-  return results;
+  return result;
 }
 
 std::vector<OverheadSeries> run_matrix(const std::vector<ExperimentConfig>& cells,
                                        int jobs, MatrixProgress progress) {
-  return run_matrix_with(
-      cells, jobs,
-      [](const ExperimentConfig& config) { return run_experiment(config); },
-      std::move(progress));
+  MatrixOptions options;
+  options.jobs = jobs;
+  options.progress = std::move(progress);
+  options.watchdog.max_attempts = 1;
+  return run_matrix_checked(cells, options).series;
 }
 
 // ---------------------------------------------------------------------------
@@ -319,38 +277,38 @@ class WatchdogHost {
   bool stop_ = false;
 };
 
-/// Shared mutable state of one engine invocation.
+/// What every cell of one engine invocation shares (read-only while the
+/// loop runs; the writer and host are thread-safe).
 struct EngineState {
   const std::vector<ExperimentConfig>* cells = nullptr;
-  const MatrixOptions* options = nullptr;
+  const WatchdogPolicy* watchdog = nullptr;
   const WatchedCellRunner* runner = nullptr;
-  MatrixResult* result = nullptr;
   CheckpointWriter* writer = nullptr;  ///< nullptr = checkpointing off
   WatchdogHost* host = nullptr;        ///< nullptr = no wall watchdog
-
-  std::mutex mu;  ///< guards result->quarantined/retries/..., done
-  std::size_t done = 0;
 };
 
-bool cancel_requested(const EngineState& st) {
-  return st.options->cancel != nullptr &&
-         st.options->cancel->load(std::memory_order_acquire);
-}
+/// How one cell's attempts ended. The series itself goes straight into the
+/// result; retries are folded in under the loop's lock, quarantine records
+/// after the loop, in cell order.
+struct CellOutcome {
+  int retries = 0;
+  std::optional<CellError> quarantined;
+};
 
-/// Run one cell under the attempt/retry/quarantine policy. Called on a
-/// worker (or the calling thread when jobs == 1) with an arena scope
-/// already active.
-void run_cell_checked(EngineState& st, std::size_t i) {
+/// Run one cell under the attempt/retry/quarantine policy, storing its
+/// series in `*out`. Called on a worker (or the calling thread when
+/// jobs == 1) with an arena scope already active.
+CellOutcome run_cell_checked(const EngineState& st, std::size_t i,
+                             OverheadSeries* out) {
   const ExperimentConfig& config = (*st.cells)[i];
-  const WatchdogPolicy& wd = st.options->watchdog;
+  const WatchdogPolicy& wd = *st.watchdog;
   const int max_attempts = std::max(wd.max_attempts, 1);
   const bool watched = wd.wall_limit.count() > 0 || wd.event_budget > 0;
   const RunnerMetrics& metrics = RunnerMetrics::get();
 
+  CellOutcome outcome;
   std::string last_what;
   std::string last_where;
-  bool completed = false;
-
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     CellWatchdog watchdog;
     watchdog.event_budget = wd.event_budget;
@@ -365,9 +323,11 @@ void run_cell_checked(EngineState& st, std::size_t i) {
       OverheadSeries series =
           (*st.runner)(config, watched ? &watchdog : nullptr);
       if (armed) st.host->disarm(token);
-      st.result->series[i] = std::move(series);
-      completed = true;
-      break;
+      *out = std::move(series);
+      // Persist before announcing: a crash inside the progress callback
+      // (the chaos harness's hard-kill point) must find the cell on disk.
+      if (st.writer != nullptr) st.writer->add(i, config, *out);
+      return outcome;
     } catch (const CellAbortError& e) {
       if (armed) st.host->disarm(token);
       last_what = e.what();
@@ -388,49 +348,31 @@ void run_cell_checked(EngineState& st, std::size_t i) {
     }
     if (attempt < max_attempts) {
       metrics.retries.add();
-      {
-        std::lock_guard<std::mutex> lock{st.mu};
-        ++st.result->retries;
-      }
+      ++outcome.retries;
       if (wd.backoff_base.count() > 0) {
         std::this_thread::sleep_for(wd.backoff_base * (1 << (attempt - 1)));
       }
     }
   }
 
-  if (completed) {
-    // Persist before announcing: a crash inside the progress callback (the
-    // chaos harness's hard-kill point) must find the cell already on disk.
-    if (st.writer != nullptr) st.writer->add(i, config, st.result->series[i]);
+  OverheadSeries failed;
+  failed.config = config;
+  failed.failures = config.runs;
+  // A plain throw reads "uncaught exception: <what>"; watchdog trips name
+  // the guard instead.
+  if (last_where == "cell") {
+    failed.first_error = last_what == "non-standard exception"
+                             ? "uncaught exception (non-standard)"
+                             : "uncaught exception: " + last_what;
   } else {
-    OverheadSeries failed;
-    failed.config = config;
-    failed.failures = config.runs;
-    // Same first_error shape as run_matrix's run_cell_guarded for a plain
-    // throw, so the engine with watchdogs off stays byte-identical to the
-    // legacy path even on deterministically-failing cells; watchdog trips
-    // name the guard instead.
-    if (last_where == "cell") {
-      failed.first_error = last_what == "non-standard exception"
-                               ? "uncaught exception (non-standard)"
-                               : "uncaught exception: " + last_what;
-    } else {
-      failed.first_error = last_where + ": " + last_what;
-    }
-    st.result->series[i] = std::move(failed);
-    metrics.quarantined.add();
-    std::lock_guard<std::mutex> lock{st.mu};
-    st.result->quarantined.push_back(
-        CellError{i, last_what, last_where, max_attempts});
-    // Quarantined cells are deliberately NOT checkpointed: a resumed run
-    // gets a fresh set of attempts at them.
+    failed.first_error = last_where + ": " + last_what;
   }
-
-  std::lock_guard<std::mutex> lock{st.mu};
-  ++st.result->cells_run;
-  call_progress_guarded(st.options->progress, ++st.done, st.cells->size(),
-                        &st.result->progress_errors,
-                        &st.result->progress_error);
+  *out = std::move(failed);
+  metrics.quarantined.add();
+  // Quarantined cells are deliberately NOT checkpointed: a resumed run
+  // gets a fresh set of attempts at them.
+  outcome.quarantined = CellError{i, last_what, last_where, max_attempts};
+  return outcome;
 }
 
 }  // namespace
@@ -446,7 +388,6 @@ MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
       [](const ExperimentConfig& config, CellWatchdog* watchdog) {
         return run_experiment_watched(config, watchdog);
       };
-  const WatchedCellRunner& cell = runner ? runner : default_runner;
 
   // Resume: restore hash-matching cells, then keep their records alive in
   // the writer so every rewrite of the checkpoint file stays complete.
@@ -475,51 +416,28 @@ MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
   }
 
   WatchdogHost host;
-  EngineState st;
-  st.cells = &cells;
-  st.options = &options;
-  st.runner = &cell;
-  st.result = &result;
-  st.writer = writer.get();
-  st.host = options.watchdog.wall_limit.count() > 0 ? &host : nullptr;
-  st.done = result.cells_resumed;
-
-  const int jobs = resolve_jobs(options.jobs, cells.size());
-  if (jobs == 1) {
-    sim::Arena arena;
-    sim::ArenaScope scope{&arena};
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (resumed[i]) continue;
-      if (cancel_requested(st)) {
-        result.cancelled = true;
-        break;
-      }
-      run_cell_checked(st, i);
-      arena.reset();
-    }
-  } else {
-    ThreadPool pool{jobs};
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (resumed[i]) continue;
-      pool.submit([&st, i] {
-        if (cancel_requested(st)) {
-          std::lock_guard<std::mutex> lock{st.mu};
-          st.result->cancelled = true;
-          return;  // graceful drain: skip, let in-flight cells finish
-        }
-        thread_local sim::Arena worker_arena;
-        sim::ArenaScope scope{&worker_arena};
-        run_cell_checked(st, i);
-        worker_arena.reset();
-      });
-    }
-    pool.wait_idle();
+  const EngineState st{&cells, &options.watchdog,
+                       runner ? &runner : &default_runner, writer.get(),
+                       options.watchdog.wall_limit.count() > 0 ? &host
+                                                               : nullptr};
+  std::vector<CellOutcome> outcomes(cells.size());
+  const TaskLoopResult loop = run_task_loop(
+      resumed, options.jobs, options.cancel,
+      [&](std::size_t i, sim::Arena&) {
+        outcomes[i] = run_cell_checked(st, i, &result.series[i]);
+      },
+      [&](std::size_t i) {
+        ++result.cells_run;
+        result.retries += static_cast<std::uint64_t>(outcomes[i].retries);
+      },
+      options.progress);
+  result.cancelled = loop.cancelled;
+  result.progress_errors = loop.progress_errors;
+  result.progress_error = loop.progress_error;
+  RunnerMetrics::get().progress_errors.add(loop.progress_errors);
+  for (CellOutcome& o : outcomes) {  // input order: sorted by cell
+    if (o.quarantined) result.quarantined.push_back(std::move(*o.quarantined));
   }
-
-  std::sort(result.quarantined.begin(), result.quarantined.end(),
-            [](const CellError& a, const CellError& b) {
-              return a.cell < b.cell;
-            });
   if (writer) writer->flush();
   return result;
 }

@@ -7,19 +7,22 @@
 // run_matrix(cells, jobs) produces byte-identical results to running the
 // same cells serially, in input order, in 1/jobs the wall-clock time.
 //
-// Two entry points share the per-cell machinery:
+// One engine runs every matrix and every campaign:
 //
-//   * run_matrix / run_matrix_with — the minimal fast path: no watchdogs,
-//     no persistence, exceptions folded into the cell's series. This is the
-//     baseline the resilient engine is benchmarked against (bench/
-//     perf_matrix gates the disabled-features overhead of the engine at
-//     <1% versus this path).
-//   * run_matrix_checked — the crash-safe engine: per-cell watchdogs
-//     (wall-clock deadline + simulated-event budget), retry with
-//     exponential backoff, quarantine with a structured CellError after the
-//     attempt limit, checkpoint/resume with bit-identical reports, and
-//     cooperative cancellation that drains gracefully. tools/chaos_matrix
-//     and scripts/check.sh kill and resume it on every CI run.
+//   * run_task_loop — the single serial-or-pool loop: one arena per
+//     thread rewound after every task, resumed tasks skipped, cancellation
+//     checked at task start (in-flight tasks drain), and a guarded progress
+//     callback. run_matrix_checked runs one cell per task; run_campaign
+//     (core/campaign.h) runs one shard per task.
+//   * run_matrix_checked — the crash-safe matrix engine on that loop:
+//     per-cell watchdogs (wall-clock deadline + simulated-event budget),
+//     retry with exponential backoff, quarantine with a structured
+//     CellError after the attempt limit, checkpoint/resume with
+//     bit-identical reports (core/checkpoint.h), and cooperative
+//     cancellation. tools/chaos_matrix and scripts/check.sh kill and resume
+//     it on every CI run.
+//   * run_matrix — run_matrix_checked with one attempt per cell and
+//     everything else off, returning just the series.
 #pragma once
 
 #include <atomic>
@@ -35,6 +38,10 @@
 #include <vector>
 
 #include "core/experiment.h"
+
+namespace bnm::sim {
+class Arena;
+}
 
 namespace bnm::core {
 
@@ -62,10 +69,6 @@ class ThreadPool {
   void submit(std::function<void()> task);
   /// Block until every submitted task has finished.
   void wait_idle();
-
-  /// Graceful drain-on-cancel: discard tasks still queued (returns how
-  /// many); tasks already running finish normally. The pool stays usable.
-  std::size_t cancel();
 
   /// Structured record of every task whose exception the pool swallowed,
   /// in completion order.
@@ -97,10 +100,6 @@ class ThreadPool {
 /// counted (runner.progress_errors), and the matrix keeps draining.
 using MatrixProgress = std::function<void(std::size_t done, std::size_t total)>;
 
-/// The function a worker applies to one cell. run_matrix() uses
-/// run_experiment; tests inject faulty runners through run_matrix_with.
-using CellRunner = std::function<OverheadSeries(const ExperimentConfig&)>;
-
 /// Cell runner for the resilient engine: receives the attempt's watchdog
 /// (nullptr when no watchdog is configured) so the cell can be cancelled
 /// mid-flight. run_matrix_checked() defaults to run_experiment_watched.
@@ -111,19 +110,36 @@ using WatchedCellRunner =
 /// is clamped to [1, cells] so a small matrix never spawns idle workers.
 int resolve_jobs(int jobs, std::size_t cells);
 
-/// Run every cell and return the series in input order. jobs == 1 (or a
-/// single cell) degenerates to a plain serial loop on the calling thread.
-/// A cell whose runner throws yields a series with failures == runs and
-/// first_error describing the exception; the remaining cells still run.
+/// What one run_task_loop invocation reports back.
+struct TaskLoopResult {
+  bool cancelled = false;           ///< tasks were skipped after a cancel
+  std::size_t progress_errors = 0;  ///< progress-callback throws absorbed
+  std::string progress_error;       ///< first progress exception message
+};
+
+/// The one task loop under run_matrix_checked and run_campaign. Runs
+/// `run(i, arena)` for every task i whose `skip[i]` is 0 — serially on the
+/// calling thread when resolve_jobs(jobs, skip.size()) is 1, on a ThreadPool
+/// otherwise. Each thread serves its tasks from one sim::Arena, installed as
+/// the current arena and rewound after every task. A task that would start
+/// after `*cancel` is set is skipped (in-flight tasks finish). After each
+/// task, under one lock, `finish(i)` runs and then `progress(done, total)`,
+/// where done counts skipped tasks too; a throwing progress callback is
+/// absorbed and counted in the result, never propagated.
+TaskLoopResult run_task_loop(
+    const std::vector<char>& skip, int jobs, const std::atomic<bool>* cancel,
+    const std::function<void(std::size_t, sim::Arena&)>& run,
+    const std::function<void(std::size_t)>& finish,
+    const MatrixProgress& progress);
+
+/// Run every cell and return the series in input order: run_matrix_checked
+/// with one attempt per cell and no watchdog, checkpoint or cancel. jobs == 1
+/// (or a single cell) runs serially on the calling thread. A cell that
+/// throws yields a series with failures == runs and first_error describing
+/// the exception; the remaining cells still run.
 std::vector<OverheadSeries> run_matrix(const std::vector<ExperimentConfig>& cells,
                                        int jobs = 0,
                                        MatrixProgress progress = nullptr);
-
-/// run_matrix with an injectable cell runner (exception-handling tests,
-/// cached/memoized runners, ...).
-std::vector<OverheadSeries> run_matrix_with(
-    const std::vector<ExperimentConfig>& cells, int jobs,
-    const CellRunner& cell, MatrixProgress progress = nullptr);
 
 // ---------------------------------------------------------------------------
 // The crash-safe engine.
@@ -138,8 +154,8 @@ struct CellError {
   int attempts = 0;  ///< attempts consumed before quarantine
 };
 
-/// Per-cell watchdog and retry policy. Default-constructed = all guards
-/// off, one attempt, no retries — behaviourally identical to run_matrix.
+/// Per-cell watchdog and retry policy. Default-constructed = both guards
+/// off and up to three attempts per cell; run_matrix sets max_attempts = 1.
 struct WatchdogPolicy {
   /// Real-time budget per cell attempt; zero = no wall-clock watchdog.
   std::chrono::milliseconds wall_limit{0};
@@ -186,8 +202,9 @@ struct MatrixResult {
 
 /// Run the matrix under the crash-safe engine: watchdogs, retry/backoff,
 /// quarantine, checkpoint/resume, cancellation. With default options the
-/// results are byte-identical to run_matrix(cells) — and the disabled
-/// machinery costs <1% (gated in bench/perf_matrix).
+/// results are byte-identical to a plain serial run_experiment loop — and
+/// the disabled machinery costs <1% over that loop (gated in
+/// bench/perf_matrix).
 MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
                                 const MatrixOptions& options = {},
                                 const WatchedCellRunner& runner = nullptr);

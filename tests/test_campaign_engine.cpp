@@ -134,6 +134,43 @@ TEST(Campaign, CancelThenResumeProducesIdenticalReport) {
   std::remove(ck.c_str());
 }
 
+TEST(Campaign, GracefulCancelFlushesCompletedShardsUnderFlushCadence) {
+  const std::string ck = "test_campaign_cancel_flush_ck.json";
+  std::remove(ck.c_str());
+
+  const CampaignSpec spec = small_spec(60, 6);
+  CampaignOptions clean_opts;
+  clean_opts.jobs = 1;
+  const std::string clean =
+      campaign_report_json(spec, run_campaign(spec, clean_opts));
+
+  // Two shards complete before the cancel, fewer than the flush cadence:
+  // only the final flush can make them durable.
+  std::atomic<bool> cancel{false};
+  CampaignOptions first;
+  first.jobs = 1;
+  first.checkpoint = ck;
+  first.flush_every = 4;
+  first.cancel = &cancel;
+  first.progress = [&](std::size_t done, std::size_t) {
+    if (done >= 2) cancel.store(true, std::memory_order_release);
+  };
+  const CampaignResult partial = run_campaign(spec, first);
+  EXPECT_TRUE(partial.cancelled);
+  EXPECT_EQ(partial.shards_run, 2u);
+
+  CampaignOptions second;
+  second.jobs = 1;
+  second.checkpoint = ck;
+  second.resume = true;
+  const CampaignResult full = run_campaign(spec, second);
+  EXPECT_EQ(full.shards_resumed, 2u);
+  EXPECT_EQ(full.shards_run, 4u);
+  EXPECT_EQ(clean, campaign_report_json(spec, full));
+
+  std::remove(ck.c_str());
+}
+
 TEST(Campaign, ResumeIgnoresCheckpointFromDifferentSpec) {
   const std::string ck = "test_campaign_mismatch_ck.json";
   std::remove(ck.c_str());

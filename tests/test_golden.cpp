@@ -26,12 +26,9 @@ namespace bnm::core {
 namespace {
 
 std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  Fnv h;
+  h.bytes(bytes.data(), bytes.size());
+  return h.value();
 }
 
 /// The paper's Figure-3 grid: every Table-2 (browser, OS) case times every

@@ -117,11 +117,15 @@ TEST(ParallelRunner, ThrowingCellDoesNotWedgeThePool) {
   cells.resize(6);
   cells[2].seed = 0xDEAD;  // marks the poisoned cell for the runner below
 
-  const CellRunner faulty = [](const ExperimentConfig& cfg) {
+  const WatchedCellRunner faulty = [](const ExperimentConfig& cfg,
+                                      CellWatchdog* watchdog) {
     if (cfg.seed == 0xDEAD) throw std::runtime_error("boom");
-    return run_experiment(cfg);
+    return run_experiment_watched(cfg, watchdog);
   };
-  const auto results = run_matrix_with(cells, /*jobs=*/3, faulty);
+  MatrixOptions options;
+  options.jobs = 3;
+  options.watchdog.max_attempts = 1;  // run_matrix's one-attempt contract
+  const auto results = run_matrix_checked(cells, options, faulty).series;
   ASSERT_EQ(results.size(), cells.size());
 
   // The poisoned cell is reported as a full failure with the exception text.
