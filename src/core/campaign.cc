@@ -481,7 +481,7 @@ bool CampaignAggregate::from_json(const obs::json::Value& v,
 
 // ---------------------------------------------------------------------------
 // Campaign checkpoint: one record per completed shard, written by the
-// matrix's CheckpointWriter. Records encode the canonical aggregate, and
+// shared CheckpointWriter. Records encode the canonical aggregate, and
 // preloaded ones are re-encoded from the parsed aggregate, so a resumed
 // checkpoint file converges to exactly what an uninterrupted run writes.
 
