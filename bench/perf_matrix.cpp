@@ -1,15 +1,15 @@
 // Performance harness for the experiment pipeline. Three sections:
 //
 //   1. Full Figure-3 matrix, serial (jobs=1) vs parallel (--jobs, default
-//      all cores), with byte-identity checks between the result sets —
-//      including a pass on the binary-heap reference queue, which must
-//      match the calendar queue bit-for-bit across all 88 cells.
-//   2. Capture window extraction: linear scan (the old
-//      network_rtt_in_window behaviour) vs first_index_at_or_after.
+//      all cores), with a byte-identity check between the result sets.
+//      (The report bytes themselves are pinned by the golden fingerprints,
+//      ctest -L golden.)
+//   2. Crash-safe engine overhead: run_matrix_checked with every feature
+//      off vs a plain serial loop.
 //   3. Scheduler event throughput: cancellable schedule_at path (pooled
-//      control blocks) vs fire-and-forget post_at path, calendar-vs-heap
-//      and batched-vs-stepwise sub-benches, and the events/sec headline
-//      the Release kernel gate (scripts/check.sh) enforces a floor on.
+//      control blocks) vs fire-and-forget post_at path, a
+//      batched-vs-stepwise sub-bench, and the events/sec headline the
+//      Release kernel gate (scripts/check.sh) enforces a floor on.
 //
 // Emits BENCH_perf_matrix.json in the working directory so CI (or a human)
 // can track the numbers. The speedup section reports whatever the host
@@ -26,10 +26,8 @@
 
 #include "bench_util.h"
 #include "obs/prof.h"
-#include "net/capture.h"
 #include "sim/arena.h"
 #include "sim/scheduler.h"
-#include "sim/simulation.h"
 
 using namespace bnm;
 
@@ -90,14 +88,6 @@ struct MatrixTimings {
   std::uint64_t arena_allocs_avoided = 0;
   std::uint64_t arena_bytes_served = 0;
   std::uint64_t arena_peak_bytes = 0;
-  // Reference pass with arenas globally disabled: results must stay
-  // bit-identical, and its wall clock shows what the arena buys.
-  double arena_off_serial_ms = 0;
-  bool arena_identical = true;
-  // Reference pass on the binary-heap queue: the calendar queue must be a
-  // pure speedup, invisible in every sample of every cell.
-  double heap_serial_ms = 0;
-  bool queue_identical = true;
   double speedup() const {
     return parallel_ms > 0 ? serial_ms / parallel_ms : 0.0;
   }
@@ -140,29 +130,6 @@ MatrixTimings bench_matrix(int runs, int jobs_flag) {
   t.arena_bytes_served = sim::ArenaStats::bytes();
   t.arena_peak_bytes = sim::ArenaStats::peak_arena_bytes();
 
-  // Reference pass: arenas disabled process-wide, same cells, same seeds.
-  // The appraisal output must not depend on where memory came from.
-  std::printf("  arena off (jobs=1) ... ");
-  std::fflush(stdout);
-  sim::Arena::set_enabled(false);
-  const auto a0 = Clock::now();
-  const auto arena_off = core::run_matrix(cells, 1);
-  const auto a1 = Clock::now();
-  sim::Arena::set_enabled(true);
-  t.arena_off_serial_ms = ms_between(a0, a1);
-  std::printf("%8.1f ms\n", t.arena_off_serial_ms);
-
-  // Reference pass: every scheduler in the process runs the binary heap.
-  std::printf("  heap queue (jobs=1) .. ");
-  std::fflush(stdout);
-  sim::Scheduler::set_default_impl(sim::Scheduler::QueueImpl::kHeap);
-  const auto q0 = Clock::now();
-  const auto heap_ref = core::run_matrix(cells, 1);
-  const auto q1 = Clock::now();
-  sim::Scheduler::set_default_impl(sim::Scheduler::QueueImpl::kCalendar);
-  t.heap_serial_ms = ms_between(q0, q1);
-  std::printf("%8.1f ms\n", t.heap_serial_ms);
-
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (!identical(serial[i], parallel[i])) {
       t.identical = false;
@@ -170,23 +137,8 @@ MatrixTimings bench_matrix(int runs, int jobs_flag) {
                   i, serial[i].case_label.c_str(),
                   serial[i].method_name.c_str());
     }
-    if (!identical(serial[i], arena_off[i])) {
-      t.arena_identical = false;
-      std::printf("  !! cell %zu (%s %s) differs with the arena disabled\n",
-                  i, serial[i].case_label.c_str(),
-                  serial[i].method_name.c_str());
-    }
-    if (!identical(serial[i], heap_ref[i])) {
-      t.queue_identical = false;
-      std::printf("  !! cell %zu (%s %s) differs between calendar and heap\n",
-                  i, serial[i].case_label.c_str(),
-                  serial[i].method_name.c_str());
-    }
   }
-  std::printf(
-      "  results byte-identical: %s (arena on/off: %s, calendar/heap: %s)\n",
-      t.identical ? "yes" : "NO", t.arena_identical ? "yes" : "NO",
-      t.queue_identical ? "yes" : "NO");
+  std::printf("  results byte-identical: %s\n", t.identical ? "yes" : "NO");
   std::printf("  arena: %" PRIu64 " allocs avoided, %" PRIu64
               " bytes served, peak %" PRIu64 " bytes\n",
               t.arena_allocs_avoided, t.arena_bytes_served,
@@ -286,99 +238,15 @@ CheckpointTimings bench_checkpoint(int runs) {
   return t;
 }
 
-struct CaptureTimings {
-  std::size_t records = 0;
-  std::size_t windows = 0;
-  double linear_ms = 0;
-  double indexed_ms = 0;
-  double speedup() const {
-    return indexed_ms > 0 ? linear_ms / indexed_ms : 0.0;
-  }
-};
-
-CaptureTimings bench_capture_scan() {
-  CaptureTimings t;
-  constexpr std::size_t kRecords = 40000;
-  constexpr std::size_t kWindows = 4000;
-  t.records = kRecords;
-  t.windows = kWindows;
-
-  // Populate a capture the way an experiment does: records appended as the
-  // simulation clock advances, one per simulated millisecond.
-  sim::Simulation sim;
-  net::PacketCapture capture{sim};
-  for (std::size_t i = 0; i < kRecords; ++i) {
-    sim.scheduler().post_at(
-        sim::TimePoint::epoch() + sim::Duration::millis(static_cast<double>(i)),
-        [&capture, i] {
-          net::Packet p;
-          p.id = i;
-          p.payload = std::vector<std::uint8_t>{0x42};
-          capture.record(i % 2 ? net::CaptureDirection::kInbound
-                               : net::CaptureDirection::kOutbound,
-                         p);
-        });
-  }
-  sim.scheduler().run();
-
-  // Late windows are the worst case for the linear scan (an experiment's
-  // run N re-scans all records of runs 1..N-1).
-  std::vector<sim::TimePoint> starts;
-  starts.reserve(kWindows);
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    const double at_ms =
-        static_cast<double>(kRecords) * 0.5 +
-        static_cast<double>(w % (kRecords / 2));
-    starts.push_back(sim::TimePoint::epoch() + sim::Duration::millis(at_ms));
-  }
-
-  std::size_t sum_linear = 0, sum_indexed = 0;
-  const auto l0 = Clock::now();
-  for (const auto from : starts) {
-    std::size_t i = 0;
-    while (i < capture.size() && capture.true_time(i) < from) ++i;
-    sum_linear += i;
-  }
-  const auto l1 = Clock::now();
-  t.linear_ms = ms_between(l0, l1);
-
-  const auto b0 = Clock::now();
-  for (const auto from : starts) {
-    sum_indexed += capture.first_index_at_or_after(from);
-  }
-  const auto b1 = Clock::now();
-  t.indexed_ms = ms_between(b0, b1);
-
-  std::printf("capture scan: %zu records, %zu window lookups\n", t.records,
-              t.windows);
-  std::printf("  linear scan        ... %8.2f ms\n", t.linear_ms);
-  std::printf("  binary search      ... %8.2f ms   (%.0fx)\n", t.indexed_ms,
-              t.speedup());
-  if (sum_linear != sum_indexed) {
-    std::printf("  !! index mismatch: linear=%zu indexed=%zu\n", sum_linear,
-                sum_indexed);
-    t.indexed_ms = -1;  // poison: the JSON shows something went wrong
-  }
-  return t;
-}
-
 struct SchedulerTimings {
   std::size_t events = 0;
   double handle_ns_per_event = 0;
   double post_ns_per_event = 0;
   std::size_t pooled_blocks = 0;
-  // Calendar-vs-heap sub-bench: identical spread workload on both queues.
-  double calendar_ns_per_event = 0;
-  double heap_ns_per_event = 0;
-  // Batched-vs-stepwise sub-bench: same calendar queue, run() (whole-bucket
+  // Batched-vs-stepwise sub-bench: same workload, run() (whole-bucket
   // batches) vs a step() loop (one event per queue touch).
   double batched_ns_per_event = 0;
   double stepwise_ns_per_event = 0;
-  double queue_speedup() const {
-    return calendar_ns_per_event > 0
-               ? heap_ns_per_event / calendar_ns_per_event
-               : 0.0;
-  }
   double batch_speedup() const {
     return batched_ns_per_event > 0
                ? stepwise_ns_per_event / batched_ns_per_event
@@ -441,11 +309,11 @@ SchedulerTimings bench_scheduler() {
     return ms_between(p0, p1) * 1e6 / kEvents;
   });
 
-  // Calendar vs heap, batched vs stepwise: the same spread workload (1000
-  // events across ~1 ms, i.e. ~16 calendar buckets per drain cycle) so the
-  // calendar actually pays its promotion/sort costs.
-  const auto drive = [&sink](sim::Scheduler::QueueImpl impl, bool batched) {
-    sim::Scheduler sched{impl};
+  // Batched vs stepwise: a spread workload (1000 events across ~1 ms, i.e.
+  // ~16 calendar buckets per drain cycle) so the calendar actually pays its
+  // promotion/sort costs.
+  const auto drive = [&sink](bool batched) {
+    sim::Scheduler sched;
     const auto t0 = Clock::now();
     for (std::size_t done = 0; done < kEvents; done += kBatch) {
       for (std::size_t i = 0; i < kBatch; ++i) {
@@ -461,13 +329,8 @@ SchedulerTimings bench_scheduler() {
     }
     return ms_between(t0, Clock::now()) * 1e6 / kEvents;
   };
-  t.calendar_ns_per_event =
-      best_of([&] { return drive(sim::Scheduler::QueueImpl::kCalendar, true); });
-  t.heap_ns_per_event =
-      best_of([&] { return drive(sim::Scheduler::QueueImpl::kHeap, true); });
-  t.batched_ns_per_event = t.calendar_ns_per_event;
-  t.stepwise_ns_per_event = best_of(
-      [&] { return drive(sim::Scheduler::QueueImpl::kCalendar, false); });
+  t.batched_ns_per_event = best_of([&] { return drive(true); });
+  t.stepwise_ns_per_event = best_of([&] { return drive(false); });
 
   std::printf("scheduler: %zu events, batches of %zu\n", t.events, kBatch);
   std::printf("  schedule_after     ... %8.1f ns/event  (%zu pooled blocks, "
@@ -476,10 +339,8 @@ SchedulerTimings bench_scheduler() {
               t.events_per_sec() / 1e6);
   std::printf("  post_after         ... %8.1f ns/event\n",
               t.post_ns_per_event);
-  std::printf("  calendar (batched) ... %8.1f ns/event\n",
-              t.calendar_ns_per_event);
-  std::printf("  heap reference     ... %8.1f ns/event   (calendar %.2fx)\n",
-              t.heap_ns_per_event, t.queue_speedup());
+  std::printf("  batched dispatch   ... %8.1f ns/event\n",
+              t.batched_ns_per_event);
   std::printf("  stepwise dispatch  ... %8.1f ns/event   (batched %.2fx)\n",
               t.stepwise_ns_per_event, t.batch_speedup());
   return t;
@@ -509,8 +370,7 @@ std::vector<obs::prof::ProfEntry> bench_profile(int runs) {
 }
 
 void write_json(const char* path, unsigned hw, const MatrixTimings& m,
-                const CheckpointTimings& k, const CaptureTimings& c,
-                const SchedulerTimings& s,
+                const CheckpointTimings& k, const SchedulerTimings& s,
                 const std::vector<obs::prof::ProfEntry>& profile) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
@@ -545,16 +405,8 @@ void write_json(const char* path, unsigned hw, const MatrixTimings& m,
                m.arena_allocs_avoided);
   std::fprintf(f, "      \"bytes_served\": %" PRIu64 ",\n",
                m.arena_bytes_served);
-  std::fprintf(f, "      \"peak_arena_bytes\": %" PRIu64 ",\n",
+  std::fprintf(f, "      \"peak_arena_bytes\": %" PRIu64 "\n",
                m.arena_peak_bytes);
-  std::fprintf(f, "      \"off_serial_ms\": %.3f,\n", m.arena_off_serial_ms);
-  std::fprintf(f, "      \"identical_on_off\": %s\n",
-               m.arena_identical ? "true" : "false");
-  std::fprintf(f, "    },\n");
-  std::fprintf(f, "    \"queue\": {\n");
-  std::fprintf(f, "      \"heap_serial_ms\": %.3f,\n", m.heap_serial_ms);
-  std::fprintf(f, "      \"identical_calendar_heap\": %s\n",
-               m.queue_identical ? "true" : "false");
   std::fprintf(f, "    }\n");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"checkpoint\": {\n");
@@ -568,23 +420,12 @@ void write_json(const char* path, unsigned hw, const MatrixTimings& m,
                k.enabled_overhead_percent());
   std::fprintf(f, "    \"identical\": %s\n", k.identical ? "true" : "false");
   std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"capture_scan\": {\n");
-  std::fprintf(f, "    \"records\": %zu,\n", c.records);
-  std::fprintf(f, "    \"window_lookups\": %zu,\n", c.windows);
-  std::fprintf(f, "    \"linear_ms\": %.3f,\n", c.linear_ms);
-  std::fprintf(f, "    \"indexed_ms\": %.3f,\n", c.indexed_ms);
-  std::fprintf(f, "    \"speedup\": %.1f\n", c.speedup());
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"scheduler\": {\n");
   std::fprintf(f, "    \"events\": %zu,\n", s.events);
   std::fprintf(f, "    \"schedule_ns_per_event\": %.1f,\n",
                s.handle_ns_per_event);
   std::fprintf(f, "    \"post_ns_per_event\": %.1f,\n", s.post_ns_per_event);
   std::fprintf(f, "    \"events_per_sec\": %.0f,\n", s.events_per_sec());
-  std::fprintf(f, "    \"calendar_ns_per_event\": %.1f,\n",
-               s.calendar_ns_per_event);
-  std::fprintf(f, "    \"heap_ns_per_event\": %.1f,\n", s.heap_ns_per_event);
-  std::fprintf(f, "    \"queue_speedup\": %.2f,\n", s.queue_speedup());
   std::fprintf(f, "    \"batched_ns_per_event\": %.1f,\n",
                s.batched_ns_per_event);
   std::fprintf(f, "    \"stepwise_ns_per_event\": %.1f,\n",
@@ -627,13 +468,11 @@ int main(int argc, char** argv) {
   std::printf("\n");
   const CheckpointTimings k = bench_checkpoint(opts.runs);
   std::printf("\n");
-  const CaptureTimings c = bench_capture_scan();
-  std::printf("\n");
   const SchedulerTimings s = bench_scheduler();
   std::printf("\n");
   const auto profile = bench_profile(opts.runs);
 
-  write_json("BENCH_perf_matrix.json", hw, m, k, c, s, profile);
+  write_json("BENCH_perf_matrix.json", hw, m, k, s, profile);
 
   if (!k.identical) {
     std::fprintf(stderr,
@@ -647,15 +486,6 @@ int main(int argc, char** argv) {
       "disabled crash-safe engine within 1% (or <1 ms) of a plain loop");
   if (!m.identical) {
     std::fprintf(stderr, "FAIL: parallel results differ from serial\n");
-    return 1;
-  }
-  if (!m.arena_identical) {
-    std::fprintf(stderr, "FAIL: arena-off results differ from arena-on\n");
-    return 1;
-  }
-  if (!m.queue_identical) {
-    std::fprintf(stderr,
-                 "FAIL: heap-queue results differ from calendar-queue\n");
     return 1;
   }
   if (!m.parallel_meaningful() || hw < 4) {

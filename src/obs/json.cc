@@ -177,8 +177,9 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects currently open
 
-  void fail(const char* what) {
+  void fail(std::string_view what) {
     if (error_ && error_->empty()) {
       *error_ = std::string{what} + " at offset " + std::to_string(pos_);
     }
@@ -230,9 +231,18 @@ class Parser {
       case '"':
         return parse_string(out);
       case '[':
-        return parse_array(out);
-      case '{':
-        return parse_object(out);
+      case '{': {
+        if (depth_ == kMaxParseDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxParseDepth) +
+               " levels");
+          return false;
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '[' ? parse_array(out) : parse_object(out);
+        --depth_;
+        return ok;
+      }
       default:
         return parse_number(out);
     }

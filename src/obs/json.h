@@ -12,6 +12,7 @@
 // number formatting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -92,8 +93,14 @@ class Value {
   std::vector<Member> object_;
 };
 
+/// Deepest array/object nesting parse() accepts. The repo's own documents
+/// nest at most a handful of levels; the cap keeps the recursive descent's
+/// stack bounded on hostile input (a checkpoint of a few MB of '[' would
+/// otherwise overflow it).
+inline constexpr std::size_t kMaxParseDepth = 256;
+
 /// Parse one JSON document. Returns nullopt (and sets *error if given) on
-/// malformed input or trailing garbage.
+/// malformed input, trailing garbage or nesting deeper than kMaxParseDepth.
 std::optional<Value> parse(std::string_view text, std::string* error = nullptr);
 
 /// JSON string escaping (shared by every emitter in obs/).

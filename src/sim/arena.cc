@@ -1,7 +1,6 @@
 #include "sim/arena.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "obs/metrics.h"
@@ -11,7 +10,6 @@ namespace bnm::sim {
 namespace {
 
 thread_local Arena* t_current = nullptr;
-std::atomic<bool> g_enabled{true};
 
 // Process aggregate lives in the obs metrics registry ("arena.*" in
 // docs/OBSERVABILITY.md); ArenaStats accessors stay the public API.
@@ -114,15 +112,7 @@ std::size_t Arena::bytes_reserved() const {
   return total;
 }
 
-Arena* Arena::current() {
-  return g_enabled.load(std::memory_order_relaxed) ? t_current : nullptr;
-}
-
-void Arena::set_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool Arena::enabled() { return g_enabled.load(std::memory_order_relaxed); }
+Arena* Arena::current() { return t_current; }
 
 ArenaScope::ArenaScope(Arena* arena)
     : prev_{t_current}, installed_{arena != nullptr} {

@@ -13,11 +13,11 @@
 // that owns it. Code opts in through a thread-local "current arena"
 // installed with ArenaScope; allocation sites (Payload buffers,
 // ArenaAllocator-backed containers) consult Arena::current() and fall back
-// to the global allocator when no scope is active, so every component works
-// identically — bit for bit — with the arena on or off. core::run_matrix
-// gives each worker thread a private arena, reset between cells, so
-// parallel matrix shards never touch the global allocator on the packet
-// path and never contend with each other.
+// to the global allocator when no scope is active, so components built
+// outside any scope (tools, tests, one-off payloads) still work.
+// core::run_matrix gives each worker thread a private arena, reset between
+// cells, so parallel matrix shards never touch the global allocator on the
+// packet path and never contend with each other.
 //
 // Stats: each arena keeps cheap per-instance counters (plain increments on
 // the owning thread). The process-wide aggregate (the registry's arena.*
@@ -71,15 +71,8 @@ class Arena {
   std::size_t chunk_count() const { return chunks_.size(); }
   std::size_t bytes_reserved() const;  ///< sum of chunk capacities
 
-  /// The calling thread's active arena (nullptr when none, or when arenas
-  /// are globally disabled).
+  /// The calling thread's active arena (nullptr when no scope is active).
   static Arena* current();
-
-  /// Process-wide kill switch for A/B comparisons (bit-identity tests,
-  /// bench/perf_matrix's arena-off reference pass). Scopes installed while
-  /// disabled are ignored; existing arena-backed objects stay valid.
-  static void set_enabled(bool on);
-  static bool enabled();
 
  private:
   struct Chunk {

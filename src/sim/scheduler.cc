@@ -39,8 +39,6 @@ struct SchedulerMetrics {
   }
 };
 
-Scheduler::QueueImpl g_default_impl = Scheduler::QueueImpl::kCalendar;
-
 }  // namespace
 
 namespace detail {
@@ -87,12 +85,7 @@ void CallbackPool::grow() {
 
 }  // namespace detail
 
-void Scheduler::set_default_impl(QueueImpl impl) { g_default_impl = impl; }
-
-Scheduler::QueueImpl Scheduler::default_impl() { return g_default_impl; }
-
-Scheduler::Scheduler(QueueImpl impl)
-    : impl_{impl}, pool_{new detail::ControlBlockPool} {}
+Scheduler::Scheduler() : pool_{new detail::ControlBlockPool} {}
 
 Scheduler::~Scheduler() { pool_->release(); }
 
@@ -103,10 +96,6 @@ void Scheduler::push_entry(TimePoint at, SmallCallback fn,
   // The callable moves into a stable pool cell exactly once; the queue
   // tiers shuffle 40-byte POD entries from here on.
   SmallCallback* cb = cbpool_.acquire(std::move(fn));
-  if (impl_ == QueueImpl::kHeap) {
-    heap_push(Entry{at, seq, cb, block, now_});
-    return;
-  }
   const std::uint64_t abs = bucket_of(at);
   if (abs < next_abs_bucket_) {
     // Lands inside the active bottom's time range: merge-insert into the
@@ -254,10 +243,6 @@ std::optional<TimePoint> Scheduler::tier_lower_bound() const {
 }
 
 std::optional<TimePoint> Scheduler::next_event_time() {
-  if (impl_ == QueueImpl::kHeap) {
-    if (heap_.empty()) return std::nullopt;
-    return heap_.front().at;
-  }
   if (!refill_bottom()) return std::nullopt;
   return bottom_[bottom_pos_].at;
 }
@@ -294,7 +279,6 @@ void Scheduler::note_batch(std::size_t fired) {
 }
 
 bool Scheduler::step() {
-  if (impl_ == QueueImpl::kHeap) return heap_step();
   while (refill_bottom()) {
     const bool tracing = trace_ && trace_->enabled();
     if (fire_one(tracing)) return true;
@@ -303,10 +287,6 @@ bool Scheduler::step() {
 }
 
 std::size_t Scheduler::step_batch() {
-  if (impl_ == QueueImpl::kHeap) {
-    // The heap has no buckets; a "batch" degrades to one event.
-    return heap_step() ? 1 : 0;
-  }
   if (!refill_bottom()) return 0;
   BNM_PROF_SCOPE("scheduler.dispatch");
   const bool tracing = trace_ && trace_->enabled();
@@ -324,21 +304,12 @@ std::size_t Scheduler::step_batch() {
 }
 
 void Scheduler::run() {
-  if (impl_ == QueueImpl::kHeap) {
-    while (heap_step()) {
-    }
-    return;
-  }
   // step_batch can legitimately fire 0 events (a fully-cancelled bucket);
   // refill_bottom is the emptiness test, not the fired count.
   while (refill_bottom()) step_batch();
 }
 
 void Scheduler::run_until(TimePoint deadline) {
-  if (impl_ == QueueImpl::kHeap) {
-    heap_run_until(deadline);
-    return;
-  }
   while (true) {
     if (bottom_pos_ < bottom_.size()) {
       BNM_PROF_SCOPE("scheduler.dispatch");
@@ -397,7 +368,6 @@ std::size_t Scheduler::pending_events() const {
     for (const Entry& e : bucket) count(e);
   }
   for (const Entry& e : overflow_) count(e);
-  for (const Entry& e : heap_) count(e);
   return live;
 }
 
@@ -418,62 +388,9 @@ void Scheduler::clear() {
   ring_count_ = 0;
   for (Entry& e : overflow_) drop(e);
   overflow_.clear();
-  for (Entry& e : heap_) drop(e);
-  heap_.clear();
   // Re-anchor the ring at the current time so new near-future events use
   // the buckets instead of degenerating to sorted bottom inserts.
   next_abs_bucket_ = bucket_of(now_);
-}
-
-// ---- kHeap reference implementation ---------------------------------------
-
-void Scheduler::heap_push(Entry entry) {
-  heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-Scheduler::Entry Scheduler::heap_pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry e = heap_.back();
-  heap_.pop_back();
-  return e;
-}
-
-bool Scheduler::heap_step() {
-  BNM_PROF_SCOPE("scheduler.dispatch");
-  while (!heap_.empty()) {
-    const Entry e = heap_pop();
-    if (e.block != 0 && !pool_->retire_was_alive(e.block - 1)) {
-      cbpool_.release(e.cb);
-      continue;  // skip dead entries
-    }
-    assert(e.at >= now_);
-    now_ = e.at;
-    ++executed_;
-    if (trace_ && trace_->enabled()) {
-      trace_->emit_span(e.posted, e.at - e.posted, "scheduler", "dispatch",
-                        {{"seq", static_cast<std::int64_t>(e.seq)}});
-    }
-    (*e.cb)();
-    cbpool_.release(e.cb);
-    return true;
-  }
-  return false;
-}
-
-void Scheduler::heap_run_until(TimePoint deadline) {
-  while (!heap_.empty()) {
-    const Entry& top = heap_.front();
-    if (top.block != 0 && !pool_->alive(top.block - 1)) {
-      const Entry dead = heap_pop();
-      pool_->retire(dead.block - 1);
-      cbpool_.release(dead.cb);
-      continue;
-    }
-    if (top.at > deadline) break;
-    heap_step();
-  }
-  if (now_ < deadline) now_ = deadline;
 }
 
 }  // namespace bnm::sim

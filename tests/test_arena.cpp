@@ -1,8 +1,8 @@
 // Arena contract tests: alignment, chunk spill, reset()-and-reuse, the
 // thread-local scope machinery, per-thread isolation under the matrix
-// runner, publication of the arena.* registry counters, and — the
-// load-bearing guarantee — bit-identical experiment results with arenas on
-// and off.
+// runner (per-worker arenas reproduce the serial results bit for bit) and
+// publication of the arena.* registry counters. The report bytes of the
+// arena-backed path itself are pinned by the golden fingerprints.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -108,16 +108,6 @@ TEST(Arena, ScopeInstallsRestoresAndNests) {
   EXPECT_EQ(Arena::current(), nullptr);
 }
 
-TEST(Arena, DisableSwitchHidesCurrentArena) {
-  Arena arena;
-  ArenaScope scope{arena};
-  ASSERT_EQ(Arena::current(), &arena);
-  Arena::set_enabled(false);
-  EXPECT_EQ(Arena::current(), nullptr);  // allocation sites fall back to heap
-  Arena::set_enabled(true);
-  EXPECT_EQ(Arena::current(), &arena);
-}
-
 TEST(Arena, ThreadLocalScopesAreIsolated) {
   Arena main_arena;
   ArenaScope scope{main_arena};
@@ -205,23 +195,6 @@ void expect_identical(const core::OverheadSeries& a,
     EXPECT_EQ(x.net_rtt2_ms, y.net_rtt2_ms);
     EXPECT_EQ(x.connections_opened1, y.connections_opened1);
     EXPECT_EQ(x.connections_opened2, y.connections_opened2);
-  }
-}
-
-TEST(ArenaIdentity, ExperimentResultsAreBitIdenticalArenaOnAndOff) {
-  const auto cells = small_matrix();
-
-  ASSERT_TRUE(Arena::enabled());
-  const auto with_arena = core::run_matrix(cells, /*jobs=*/1);
-
-  Arena::set_enabled(false);
-  const auto without_arena = core::run_matrix(cells, /*jobs=*/1);
-  Arena::set_enabled(true);
-
-  ASSERT_EQ(with_arena.size(), cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    SCOPED_TRACE("cell " + std::to_string(i));
-    expect_identical(with_arena[i], without_arena[i]);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "net/capture.h"
 #include "net/pcap_writer.h"
@@ -107,6 +108,55 @@ TEST(PacketCapture, DistinctConnectionsDeduplicatesRetransmits) {
   Packet synack = tcp_packet(kServer, kClient, {.syn = true, .ack = true});
   cap.record(CaptureDirection::kInbound, synack);
   EXPECT_EQ(cap.distinct_connections(), 2u);
+}
+
+TEST(PacketCapture, FirstIndexAtOrAfterMatchesLinearScan) {
+  // The binary search must agree with the obvious linear scan everywhere:
+  // on an empty capture, before the first record, after the last, inside
+  // runs of equal true_time and on every record boundary.
+  const auto linear = [](const PacketCapture& cap, sim::TimePoint t) {
+    std::size_t i = 0;
+    while (i < cap.size() && cap.true_time(i) < t) ++i;
+    return i;
+  };
+  const auto at_ms = [](std::int64_t ms) {
+    return sim::TimePoint::epoch() + sim::Duration::millis(ms);
+  };
+
+  sim::Simulation sim{5};
+  PacketCapture cap{sim};
+  for (const sim::TimePoint t : {sim::TimePoint::epoch(), at_ms(3)}) {
+    EXPECT_EQ(cap.first_index_at_or_after(t), 0u);
+    EXPECT_EQ(cap.first_index_at_or_after(t), linear(cap, t));
+  }
+
+  const std::vector<std::int64_t> times_ms = {2, 2, 2, 5, 7, 7, 11, 11,
+                                              11, 11, 20};
+  for (const std::int64_t ms : times_ms) {
+    sim.scheduler().post_at(at_ms(ms), [&cap] {
+      cap.record(CaptureDirection::kOutbound,
+                 tcp_packet(kClient, kServer, {.ack = true}));
+    });
+  }
+  sim.scheduler().run();
+  ASSERT_EQ(cap.size(), times_ms.size());
+
+  std::vector<sim::TimePoint> queries = {sim::TimePoint::epoch(), at_ms(1),
+                                         at_ms(21), at_ms(1000)};
+  for (std::size_t i = 0; i < cap.size(); ++i) {
+    const sim::TimePoint t = cap.true_time(i);
+    queries.insert(queries.end(), {t - sim::Duration::nanos(1), t,
+                                   t + sim::Duration::nanos(1)});
+  }
+  for (const sim::TimePoint t : queries) {
+    EXPECT_EQ(cap.first_index_at_or_after(t), linear(cap, t))
+        << "at " << t.ns_since_epoch() << " ns";
+  }
+  // Spot checks pin the semantics, not just the agreement.
+  EXPECT_EQ(cap.first_index_at_or_after(at_ms(2)), 0u);
+  EXPECT_EQ(cap.first_index_at_or_after(at_ms(11)), 6u);
+  EXPECT_EQ(cap.first_index_at_or_after(at_ms(20)), 10u);
+  EXPECT_EQ(cap.first_index_at_or_after(at_ms(21)), cap.size());
 }
 
 TEST(PacketCapture, ClearEmpties) {

@@ -512,6 +512,44 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_EQ(v->dump(), "{\"a\":[1,2.5,\"x\\n\",true,null]}");
 }
 
+TEST(Json, ParseCapsNestingDepthOnHostileInput) {
+  using bnm::obs::json::kMaxParseDepth;
+  using bnm::obs::json::parse;
+  // 2M '[' then 2M ']' (4 MB): unbounded recursive descent overflows the
+  // stack on this long before it reaches the closing brackets.
+  constexpr std::size_t kHostile = 2'000'000;
+  std::string err;
+  const std::string hostile =
+      std::string(kHostile, '[') + std::string(kHostile, ']');
+  EXPECT_FALSE(parse(hostile, &err).has_value());
+  EXPECT_EQ(err, "nesting deeper than " + std::to_string(kMaxParseDepth) +
+                     " levels at offset " + std::to_string(kMaxParseDepth));
+
+  // Exactly at the cap parses; one level more fails, for objects too.
+  const auto nested = [](std::size_t depth, std::string_view open,
+                         std::string_view close) {
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i) s += open;
+    s += "1";
+    for (std::size_t i = 0; i < depth; ++i) s += close;
+    return s;
+  };
+  EXPECT_TRUE(parse(nested(kMaxParseDepth, "[", "]")).has_value());
+  EXPECT_FALSE(parse(nested(kMaxParseDepth + 1, "[", "]")).has_value());
+  EXPECT_TRUE(parse(nested(kMaxParseDepth, "{\"k\":", "}")).has_value());
+  err.clear();
+  EXPECT_FALSE(
+      parse(nested(kMaxParseDepth + 1, "{\"k\":", "}"), &err).has_value());
+  EXPECT_NE(err.find("nesting deeper than"), std::string::npos) << err;
+  // Depth is nesting, not a running count: many shallow siblings are fine.
+  std::string wide = "[";
+  for (std::size_t i = 0; i < 4 * kMaxParseDepth; ++i) {
+    wide += i ? ",[[]]" : "[[]]";
+  }
+  wide += "]";
+  EXPECT_TRUE(parse(wide).has_value());
+}
+
 // Report and checkpoint bytes depend on how doubles are printed: dump()
 // must keep producing exactly what printf("%.17g") produces.
 std::string printf_17g(double d) {

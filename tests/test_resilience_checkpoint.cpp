@@ -1,6 +1,7 @@
 // Checkpoint/resume contract: stable config hashing, exact series
 // round-trips (including awkward doubles), golden file bytes, resume
-// bit-identity, and graceful degradation on corrupt checkpoints. Plus the
+// bit-identity, and graceful degradation on corrupt (torn, mismatched or
+// hostile deeply nested) matrix and campaign checkpoints. Plus the
 // FaultPlan construction-time validation that protects the same campaigns.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/checkpoint.h"
 #include "core/experiment.h"
 #include "core/parallel_runner.h"
@@ -298,6 +300,54 @@ TEST(CheckpointFile, CorruptOrMissingCheckpointDegradesToFreshRun) {
   error.clear();
   EXPECT_FALSE(CheckpointReader::load(ck.path(), &error));
   EXPECT_NE(error.find("format"), std::string::npos);
+}
+
+TEST(CheckpointFile, DeeplyNestedCheckpointsResumeAsCleanRuns) {
+  // A hostile checkpoint: 2M '[' then 2M ']' (4 MB). Resuming from it must
+  // degrade to a fresh run, never overflow the parser's stack.
+  const auto write_hostile = [](const std::string& path) {
+    std::ofstream out{path, std::ios::binary};
+    out << std::string(2'000'000, '[') << std::string(2'000'000, ']');
+  };
+
+  TempFile ck{"deep"};
+  write_hostile(ck.path());
+  std::string error;
+  EXPECT_FALSE(CheckpointReader::load(ck.path(), &error));
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+
+  const auto cells = std::vector<ExperimentConfig>{demo_config()};
+  MatrixOptions clean_opts;
+  clean_opts.jobs = 1;
+  const MatrixResult clean = run_matrix_checked(cells, clean_opts);
+  MatrixOptions options = clean_opts;
+  options.checkpoint.path = ck.path();
+  options.checkpoint.resume = true;
+  const MatrixResult resumed = run_matrix_checked(cells, options);
+  EXPECT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed.cells_resumed, 0u);
+  EXPECT_EQ(resumed.cells_run, 1u);
+  EXPECT_EQ(matrix_report_json(cells, resumed.series),
+            matrix_report_json(cells, clean.series));
+
+  CampaignSpec spec;
+  spec.seed = 2024;
+  spec.clients = 12;
+  spec.shards = 2;
+  spec.runs_per_client = 1;
+  CampaignOptions clean_campaign;
+  clean_campaign.jobs = 1;
+  const std::string clean_report =
+      campaign_report_json(spec, run_campaign(spec, clean_campaign));
+  TempFile campaign_ck{"deep_campaign"};
+  write_hostile(campaign_ck.path());
+  CampaignOptions resume_campaign = clean_campaign;
+  resume_campaign.checkpoint = campaign_ck.path();
+  resume_campaign.resume = true;
+  const CampaignResult campaign = run_campaign(spec, resume_campaign);
+  EXPECT_EQ(campaign.shards_resumed, 0u);
+  EXPECT_EQ(campaign.shards_run, campaign.shards);
+  EXPECT_EQ(campaign_report_json(spec, campaign), clean_report);
 }
 
 TEST(FaultPlanValidation, RejectsIllFormedPlansOnConstruction) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/scheduler.h"
@@ -293,43 +294,71 @@ TEST(Scheduler, NextEventTimeReportsEarliestAcrossTiers) {
   EXPECT_EQ(*s.next_event_time(), TimePoint::epoch() + Duration::micros(3));
 }
 
-TEST(Scheduler, CalendarAndHeapFireIdenticalSequences) {
-  // The same pseudo-random workload (schedules, nested schedules, cancels)
-  // under both queue implementations must fire the identical sequence of
-  // (time, tag) pairs — the A/B identity the Release gate enforces at
-  // matrix scale.
-  auto drive = [](Scheduler::QueueImpl impl) {
-    Scheduler s{impl};
-    std::vector<std::pair<std::int64_t, int>> fired;
-    std::vector<EventHandle> handles;
-    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
-    auto next = [&rng] {
-      rng ^= rng << 13;
-      rng ^= rng >> 7;
-      rng ^= rng << 17;
-      return rng;
-    };
-    for (int i = 0; i < 400; ++i) {
-      const auto delay = Duration::nanos(
-          static_cast<std::int64_t>(next() % 40'000'000));  // 0..40ms
-      handles.push_back(s.schedule_after(delay, [&s, &fired, &next, i] {
-        fired.emplace_back(s.now().ns_since_epoch(), i);
-        if (next() % 4 == 0) {
-          s.post_after(Duration::nanos(static_cast<std::int64_t>(
-                           next() % 1'000'000)),
-                       [&s, &fired, i] {
-                         fired.emplace_back(s.now().ns_since_epoch(),
-                                            i + 1000);
-                       });
-        }
-      }));
-    }
-    for (std::size_t i = 0; i < handles.size(); i += 7) handles[i].cancel();
-    s.run();
-    return fired;
+TEST(Scheduler, FiresScheduledMinusCancelledInTotalOrder) {
+  // Spec oracle for the queue contract on a pseudo-random workload
+  // (schedules over 0-40 ms, nested post_afters, every 7th handle
+  // cancelled). Every event gets a global index when it is scheduled, so
+  // the (at, index) pair is exactly the total order the scheduler promises:
+  // fired pairs must strictly increase, each event must fire at its own
+  // `at`, and the fired set must be the scheduled set minus the cancelled.
+  Scheduler s;
+  std::vector<std::int64_t> at_of;  // index -> scheduled time (ns)
+  std::vector<std::pair<std::int64_t, std::size_t>> fired;
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
   };
-  EXPECT_EQ(drive(Scheduler::QueueImpl::kCalendar),
-            drive(Scheduler::QueueImpl::kHeap));
+  const auto index_at = [&](Duration delay) {
+    at_of.push_back((s.now() + delay).ns_since_epoch());
+    return at_of.size() - 1;
+  };
+
+  std::vector<EventHandle> handles;
+  std::vector<std::size_t> handle_index;
+  for (int i = 0; i < 400; ++i) {
+    const auto delay = Duration::nanos(
+        static_cast<std::int64_t>(next() % 40'000'000));  // 0..40ms
+    const std::size_t idx = index_at(delay);
+    handle_index.push_back(idx);
+    handles.push_back(s.schedule_after(delay, [&, idx] {
+      fired.emplace_back(s.now().ns_since_epoch(), idx);
+      if (next() % 4 == 0) {
+        const auto nested = Duration::nanos(
+            static_cast<std::int64_t>(next() % 1'000'000));
+        const std::size_t child = index_at(nested);
+        s.post_after(nested, [&, child] {
+          fired.emplace_back(s.now().ns_since_epoch(), child);
+        });
+      }
+    }));
+  }
+  std::vector<bool> cancelled(at_of.size(), false);
+  for (std::size_t i = 0; i < handles.size(); i += 7) {
+    handles[i].cancel();
+    cancelled[handle_index[i]] = true;
+  }
+  s.run();
+
+  ASSERT_FALSE(fired.empty());
+  for (std::size_t k = 1; k < fired.size(); ++k) {
+    ASSERT_LT(fired[k - 1], fired[k]) << "fired out of order at " << k;
+  }
+  std::vector<std::size_t> fired_idx;
+  for (const auto& [at, idx] : fired) {
+    ASSERT_EQ(at, at_of[idx]) << "event " << idx << " fired off its time";
+    fired_idx.push_back(idx);
+  }
+  std::sort(fired_idx.begin(), fired_idx.end());
+  cancelled.resize(at_of.size(), false);  // nested events are never cancelled
+  std::vector<std::size_t> expected;
+  for (std::size_t idx = 0; idx < at_of.size(); ++idx) {
+    if (!cancelled[idx]) expected.push_back(idx);
+  }
+  EXPECT_EQ(fired_idx, expected);
+  EXPECT_EQ(s.pending_events(), 0u);
 }
 
 TEST(Scheduler, ClearedSchedulerReanchorsAndKeepsWorking) {

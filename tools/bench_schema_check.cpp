@@ -129,15 +129,6 @@ std::vector<Field> perf_matrix_schema() {
                 {"allocs_avoided", FieldType::kInt, true, {}},
                 {"bytes_served", FieldType::kInt, true, {}},
                 {"peak_arena_bytes", FieldType::kInt, true, {}},
-                {"off_serial_ms", FieldType::kNumber, true, {}},
-                {"identical_on_off", FieldType::kBool, true, {}},
-            }},
-           {"queue",
-            FieldType::kObject,
-            true,
-            {
-                {"heap_serial_ms", FieldType::kNumber, true, {}},
-                {"identical_calendar_heap", FieldType::kBool, true, {}},
             }},
        }},
       {"checkpoint",
@@ -152,16 +143,6 @@ std::vector<Field> perf_matrix_schema() {
            {"enabled_overhead_percent", FieldType::kNumber, true, {}},
            {"identical", FieldType::kBool, true, {}},
        }},
-      {"capture_scan",
-       FieldType::kObject,
-       true,
-       {
-           {"records", FieldType::kInt, true, {}},
-           {"window_lookups", FieldType::kInt, true, {}},
-           {"linear_ms", FieldType::kNumber, true, {}},
-           {"indexed_ms", FieldType::kNumber, true, {}},
-           {"speedup", FieldType::kNumber, true, {}},
-       }},
       {"scheduler",
        FieldType::kObject,
        true,
@@ -170,9 +151,6 @@ std::vector<Field> perf_matrix_schema() {
            {"schedule_ns_per_event", FieldType::kNumber, true, {}},
            {"post_ns_per_event", FieldType::kNumber, true, {}},
            {"events_per_sec", FieldType::kNumber, true, {}},
-           {"calendar_ns_per_event", FieldType::kNumber, true, {}},
-           {"heap_ns_per_event", FieldType::kNumber, true, {}},
-           {"queue_speedup", FieldType::kNumber, true, {}},
            {"batched_ns_per_event", FieldType::kNumber, true, {}},
            {"stepwise_ns_per_event", FieldType::kNumber, true, {}},
            {"batch_speedup", FieldType::kNumber, true, {}},
