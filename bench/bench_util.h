@@ -9,15 +9,20 @@
 //   --runs=N   repetitions per experiment cell (default 50, the paper's)
 //   --jobs=N   worker threads for experiment matrices (default: all cores)
 // Anything else is returned as a positional argument (e.g. fig3's CSV path).
+// Benches with flags of their own parse them with int_flag. Benches that
+// write a BENCH_*.json do it through bench_json.h, included here.
 #pragma once
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/experiment.h"
 #include "core/parallel_runner.h"
 #include "report/boxplot_render.h"
@@ -40,24 +45,34 @@ inline Options& options() {
   return opts;
 }
 
+/// Parse "<prefix>N" into `out` when `arg` starts with `prefix`: N must be a
+/// positive decimal integer that fits T. Returns false when the prefix does
+/// not match; exits 2 with "invalid value" when N is malformed.
+template <typename T>
+bool int_flag(const std::string& arg, const char* prefix, T& out) {
+  if (arg.rfind(prefix, 0) != 0) return false;
+  const char* digits = arg.c_str() + std::strlen(prefix);
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(digits, &end, 10);
+  if (end == digits || *end != '\0' || errno != 0 || v <= 0 ||
+      static_cast<unsigned long long>(v) >
+          static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+    std::fprintf(stderr, "invalid value in '%s'\n", arg.c_str());
+    std::exit(2);
+  }
+  out = static_cast<T>(v);
+  return true;
+}
+
 /// Parse the shared bench CLI into options(). Returns the options for
 /// convenience; exits with a usage message on malformed flags.
 inline Options& init(int argc, char** argv) {
   Options& opts = options();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto int_flag = [&](const char* prefix, int& out) {
-      if (arg.rfind(prefix, 0) != 0) return false;
-      char* end = nullptr;
-      const long v = std::strtol(arg.c_str() + std::strlen(prefix), &end, 10);
-      if (end == nullptr || *end != '\0' || v <= 0) {
-        std::fprintf(stderr, "invalid value in '%s'\n", arg.c_str());
-        std::exit(2);
-      }
-      out = static_cast<int>(v);
-      return true;
-    };
-    if (int_flag("--runs=", opts.runs) || int_flag("--jobs=", opts.jobs)) {
+    if (int_flag(arg, "--runs=", opts.runs) ||
+        int_flag(arg, "--jobs=", opts.jobs)) {
       continue;
     }
     if (arg == "--help" || arg == "-h") {

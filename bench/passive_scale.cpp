@@ -6,20 +6,20 @@
 //   1. Headline throughput: a pre-synthesized capture stream (default 64
 //      flows x 8k packets, request/ACK pairs with RFC 7323 timestamps)
 //      pushed through PassiveRttEstimator::observe — packets/sec is the
-//      number the Release gate in scripts/check.sh enforces a floor on.
+//      number one of the gates floors.
 //   2. Report identity: the same stream consumed by two independent
-//      estimators must serialize byte-identical reports ("identical" —
+//      estimators must serialize byte-identical reports ("identical_reports" —
 //      the determinism claim the offline-pcap gate builds on).
 //   3. Yield: fraction of data packets that produced an RTT sample (every
 //      echoed anchor, minus coarse-clock duplicates), sanity that the
 //      throughput number measures real matching work, not early-outs.
 //
+// Exits non-zero when a gate fails. Malformed flag values exit 2.
+//
 //   $ passive_scale [--flows=N] [--packets=N]
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -121,27 +121,29 @@ Headline bench_headline(const std::vector<Observation>& stream, int flows,
   return h;
 }
 
-void write_json(const char* path, const Headline& h, bool identical,
-                std::size_t report_bytes, double yield) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"packets\": %" PRIu64 ",\n", h.packets);
-  std::fprintf(f, "  \"flows\": %d,\n", h.flows);
-  std::fprintf(f, "  \"wall_ms\": %.3f,\n", h.wall_ms);
-  std::fprintf(f, "  \"packets_per_sec\": %.1f,\n", h.packets_per_sec());
-  std::fprintf(f, "  \"samples\": %" PRIu64 ",\n", h.samples);
-  std::fprintf(f, "  \"duplicate_tsvals\": %" PRIu64 ",\n",
-               h.duplicate_tsvals);
-  std::fprintf(f, "  \"sample_yield\": %.4f,\n", yield);
-  std::fprintf(f, "  \"report_bytes\": %zu,\n", report_bytes);
-  std::fprintf(f, "  \"identical_reports\": %s\n", identical ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
+obs::json::Value to_json(const Headline& h, bool identical,
+                         std::size_t report_bytes, double yield) {
+  using benchutil::integer;
+  using obs::json::Value;
+  return benchutil::object({
+      {"packets", integer(h.packets)},
+      {"flows", integer(h.flows)},
+      {"wall_ms", Value::number(h.wall_ms)},
+      {"packets_per_sec", Value::number(h.packets_per_sec())},
+      {"samples", integer(h.samples)},
+      {"duplicate_tsvals", integer(h.duplicate_tsvals)},
+      {"sample_yield", Value::number(yield)},
+      {"report_bytes", integer(report_bytes)},
+      {"identical_reports", Value::boolean(identical)},
+      {"gates",
+       benchutil::array({
+           benchutil::gate_true("identical_reports"),
+           // Far below the millions of packets/s a hash-map matcher manages
+           // in Release, far above anything a per-packet allocation or an
+           // accidental O(flows) scan would leave standing.
+           benchutil::gate("packets_per_sec", ">=", 200000),
+       })},
+  });
 }
 
 }  // namespace
@@ -151,15 +153,8 @@ int main(int argc, char** argv) {
   int packets_per_flow = 8192;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      const std::size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* s = value("--flows=")) {
-      flows = std::atoi(s);
-    } else if (const char* s = value("--packets=")) {
-      packets_per_flow = std::atoi(s);
-    } else {
+    if (!benchutil::int_flag(arg, "--flows=", flows) &&
+        !benchutil::int_flag(arg, "--packets=", packets_per_flow)) {
       std::fprintf(stderr, "usage: %s [--flows=N] [--packets=N]\n", argv[0]);
       return 2;
     }
@@ -192,11 +187,6 @@ int main(int argc, char** argv) {
   benchutil::shape_check(h.duplicate_tsvals > 0,
                          "coarse-clock duplicate path exercised");
 
-  write_json("BENCH_passive_scale.json", h, identical, r1.size(), yield);
-
-  if (!identical) {
-    std::fprintf(stderr, "FAIL: passive reports differ across replays\n");
-    return 1;
-  }
-  return 0;
+  return benchutil::emit("BENCH_passive_scale.json",
+                         to_json(h, identical, r1.size(), yield));
 }

@@ -1,19 +1,25 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus the golden report fingerprints (checked in the
-# plain, ASan+UBSan and Release builds), an ASan+UBSan pass, a perf gate, the
-# observability gates (obs tests, obs_overhead A/B, bench-JSON schemas),
-# the Release kernel gate (a scheduler events/sec floor), the campaign
-# gates (100k-client Release throughput floor, O(shards) aggregation memory,
-# shard-count and kill/resume report byte-identity) and the passive gates
-# (TSval-matcher packets/sec floor + offline-pcap report byte-identity vs
-# the live tap).
+# Tier-1 verification plus the golden fingerprints of the canonical reports
+# and checkpoints (checked in the plain, ASan+UBSan and Release builds), an
+# ASan+UBSan pass, the Release bench gates, and the chaos and round-trip
+# byte-identity gates.
+#
+# Each bench declares its bounds as data: the "gates" array of its
+# BENCH_*.json (bench/bench_json.h). A bench exits non-zero when a gate
+# fails, and tools/bench_schema_check then re-evaluates every gate and
+# compares each file's shape with the committed repo-root file of the same
+# basename. The gates cover serial/parallel and checked-engine identity,
+# the disabled crash-safe engine's overhead, the scheduler events/sec
+# floor, the obs overhead and determinism bounds, the campaign
+# throughput floor, O(shards) memory and shard identity, the passive
+# matcher's packets/sec floor and report identity, the payload copy cut
+# and the fault-stage identity. The throughput floors hold for Release
+# builds; a Debug run of those benches can fail them.
 #
 #   scripts/check.sh          # full: plain build + ctest, ASan+UBSan build
-#                             # + ctest, then Release perf_matrix
-#                             # (serial/parallel identity, checkpoint and
-#                             # kernel gates) and obs_overhead
-#                             # (overhead/determinism gates) runs plus schema
-#                             # validation of every BENCH_*.json
+#                             # + ctest, Release goldens, the six benches
+#                             # and their gates, then the chaos and pcap
+#                             # byte-identity gates
 #   scripts/check.sh --fast   # plain build + ctest only (skip sanitizers/perf/obs)
 #
 # Exits non-zero on the first failing step. Build trees: build/ (plain),
@@ -89,7 +95,7 @@ cmake -B build-asan-ubsan -S . $(gen_for build-asan-ubsan) \
   -DBNM_SANITIZE=address,undefined
 
 step "asan+ubsan: build tests"
-cmake --build build-asan-ubsan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bnm_obs_tests bnm_kernel_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests bnm_golden_tests bench_schema_check
+cmake --build build-asan-ubsan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bnm_obs_tests bnm_kernel_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests bnm_golden_tests bench_schema_check campaign_scale passive_scale
 
 step "asan+ubsan: ctest (every label: tier1, obs, perf, faults, ...)"
 ctest --test-dir build-asan-ubsan --output-on-failure
@@ -99,136 +105,35 @@ step "perf: configure (Release)"
 cmake -B build-release -S . $(gen_for build-release) -DCMAKE_BUILD_TYPE=Release
 
 step "perf: build bench"
-cmake --build build-release -j --target perf_matrix obs_overhead bench_schema_check chaos_matrix campaign_scale campaign passive_scale passive_pcap bnm_golden_tests
+cmake --build build-release -j --target perf_matrix payload_copy fault_overhead obs_overhead bench_schema_check chaos_matrix campaign_scale campaign passive_scale passive_pcap bnm_golden_tests
 
 step "golden: Release ctest (-L golden)"
 # The committed fingerprints carry no per-build-type variants: the
 # optimized build must reproduce every canonical report bit for bit too.
 ctest --test-dir build-release -L golden --output-on-failure
 
-step "perf: bench/perf_matrix --runs=4 (serial/parallel identity)"
-# perf_matrix itself exits non-zero when the parallel pass is not
-# bit-identical to the serial one; double-check the emitted JSON anyway.
-# (The bench writes BENCH_perf_matrix.json into its working directory.)
+# Every bench below writes BENCH_<name>.json into build-release/ and exits
+# non-zero when one of its gates fails (set -e stops the script there).
+step "perf: bench/perf_matrix --runs=4 (identity, checkpoint-overhead and scheduler gates)"
 (cd build-release && ./bench/perf_matrix --runs=4)
-if ! grep -q '"identical": true' build-release/BENCH_perf_matrix.json; then
-  echo "check.sh: FAIL — serial/parallel results are not identical" >&2
-  exit 1
-fi
 
-step "resilience: checkpoint disabled-overhead gate (<1% or sub-ms noise)"
-# The crash-safe engine with every feature off must not tax healthy runs:
-# under 1% over a plain serial loop (one arena, run_experiment per cell,
-# then reset), with a sub-millisecond absolute slack because the
-# full-matrix baseline is only ~30-60 ms and percentages of it sit inside
-# single-core VM jitter. perf_matrix already hard-fails when the checked
-# engine's results are not bit-identical to that loop's.
-CK_PCT=$(sed -n 's/.*"disabled_overhead_percent": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_perf_matrix.json | head -n1)
-CK_DELTA=$(sed -n 's/.*"disabled_delta_ms": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_perf_matrix.json | head -n1)
-if [[ -z "$CK_PCT" || -z "$CK_DELTA" ]]; then
-  echo "check.sh: FAIL — checkpoint overhead fields missing from BENCH_perf_matrix.json" >&2
-  exit 1
-fi
-if ! awk -v pct="$CK_PCT" -v delta="$CK_DELTA" \
-    'BEGIN { exit (pct + 0 < 1.0 || delta + 0 < 1.0) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — disabled crash-safe engine costs ${CK_PCT}% (${CK_DELTA} ms) over a plain serial loop" >&2
-  exit 1
-fi
-echo "checkpoint overhead gate OK: disabled engine ${CK_PCT}% (${CK_DELTA} ms) vs a plain serial loop"
-
-step "kernel: Release gate (scheduler throughput floor)"
-# The cancellable schedule_after path must hold a Release-mode throughput
-# floor (the binary heap the calendar queue replaced measured ~4.2M
-# events/s; the calendar queue should stay comfortably above 3x that on any
-# host this runs on). Event ordering itself is pinned by the golden
-# fingerprints above.
-EV_FLOOR=12000000
-EV_PER_SEC=$(sed -n 's/.*"events_per_sec": *\([0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_perf_matrix.json | head -n1)
-if [[ -z "$EV_PER_SEC" ]]; then
-  echo "check.sh: FAIL — events_per_sec missing from BENCH_perf_matrix.json" >&2
-  exit 1
-fi
-if ! awk -v v="$EV_PER_SEC" -v floor="$EV_FLOOR" \
-    'BEGIN { exit (v + 0 >= floor) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — scheduler throughput ${EV_PER_SEC} ev/s below floor ${EV_FLOOR}" >&2
-  exit 1
-fi
-echo "kernel gate OK: ${EV_PER_SEC} events/s (floor ${EV_FLOOR})"
+step "perf: bench/payload_copy and bench/fault_overhead (copy-cut and identity gates)"
+(cd build-release && ./bench/payload_copy && ./bench/fault_overhead)
 
 step "obs: bench/obs_overhead --runs=8 (overhead + determinism gates)"
-# obs_overhead exits non-zero itself when the disabled-path overhead
-# estimate reaches 1%, when the profiled pass is not bit-identical to the
-# unprofiled one, or when serial and parallel registry snapshots differ.
 (cd build-release && ./bench/obs_overhead --runs=8)
-if ! grep -q '"identical": true' build-release/BENCH_obs_overhead.json; then
-  echo "check.sh: FAIL — profiled run is not bit-identical" >&2
-  exit 1
-fi
-if ! grep -q '"snapshot_identical": true' build-release/BENCH_obs_overhead.json; then
-  echo "check.sh: FAIL — serial/parallel metrics snapshots differ" >&2
-  exit 1
-fi
 
-step "campaign: bench/campaign_scale --clients=100000 (scale + memory gates)"
-# The campaign engine must push a 100k-client population through the full
-# simulator at a Release throughput floor, aggregate in O(shards) memory
-# (doubling the population must not grow the aggregation state by a byte),
-# and produce a byte-identical report whether it runs as 1 shard serially
-# or as 8 shards. campaign_scale exits non-zero itself on an identity or
-# shape failure; the greps double-check the emitted JSON.
+step "campaign: bench/campaign_scale --clients=100000 (scale, memory and identity gates)"
 (cd build-release && ./bench/campaign_scale --clients=100000 --runs=1)
-if ! grep -q '"identical_shards": true' build-release/BENCH_campaign_scale.json; then
-  echo "check.sh: FAIL — campaign reports differ across shard counts" >&2
-  exit 1
-fi
-if ! grep -q '"independent_of_clients": true' build-release/BENCH_campaign_scale.json; then
-  echo "check.sh: FAIL — campaign aggregation memory grows with client count" >&2
-  exit 1
-fi
-# Floor far below the ~21k clients/s this box measures in Release, but far
-# above anything a per-client-accumulation regression would leave standing.
-CPS_FLOOR=5000
-CPS=$(sed -n 's/.*"clients_per_sec": *\([0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_campaign_scale.json | head -n1)
-if [[ -z "$CPS" ]]; then
-  echo "check.sh: FAIL — clients_per_sec missing from BENCH_campaign_scale.json" >&2
-  exit 1
-fi
-if ! awk -v v="$CPS" -v floor="$CPS_FLOOR" \
-    'BEGIN { exit (v + 0 >= floor) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — campaign throughput ${CPS} clients/s below floor ${CPS_FLOOR}" >&2
-  exit 1
-fi
-echo "campaign scale gate OK: ${CPS} clients/s (floor ${CPS_FLOOR}), O(shards) memory"
 
-step "passive: bench/passive_scale (matcher throughput floor)"
-# The TSval matcher must sustain a Release throughput floor on a synthetic
-# trunk capture (64 flows x 8k packets). passive_scale exits non-zero
-# itself when two replays of the stream serialize different reports.
+step "passive: bench/passive_scale (matcher throughput and identity gates)"
 (cd build-release && ./bench/passive_scale)
-if ! grep -q '"identical_reports": true' build-release/BENCH_passive_scale.json; then
-  echo "check.sh: FAIL — passive reports differ across replays" >&2
-  exit 1
-fi
-# Floor far below the millions of packets/s a hash-map matcher manages in
-# Release, but far above anything a per-packet-allocation regression or an
-# accidental O(flows) scan would leave standing.
-PPS_FLOOR=200000
-PPS=$(sed -n 's/.*"packets_per_sec": *\([0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_passive_scale.json | head -n1)
-if [[ -z "$PPS" ]]; then
-  echo "check.sh: FAIL — packets_per_sec missing from BENCH_passive_scale.json" >&2
-  exit 1
-fi
-if ! awk -v v="$PPS" -v floor="$PPS_FLOOR" \
-    'BEGIN { exit (v + 0 >= floor) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — passive matcher ${PPS} packets/s below floor ${PPS_FLOOR}" >&2
-  exit 1
-fi
-echo "passive scale gate OK: ${PPS} packets/s (floor ${PPS_FLOOR})"
+
+step "obs: shapes and gates of every BENCH_*.json"
+# Each file's shape must match the committed repo-root file of the same
+# basename, and its gates are evaluated once more from the file itself.
+./build-release/tools/bench_schema_check \
+  build-release/BENCH_{perf_matrix,payload_copy,fault_overhead,obs_overhead,campaign_scale,passive_scale}.json
 
 step "passive: pcap round-trip gate (offline report == live tap report)"
 # A faulted run's client tap written to a classic pcap file, re-read
@@ -249,19 +154,6 @@ if ! cmp -s "$PASSIVE_DIR/REPORT_passive_live.json" \
   exit 1
 fi
 echo "passive pcap gate OK: offline report byte-identical to the live tap"
-./build-release/tools/bench_schema_check \
-  "$PASSIVE_DIR"/REPORT_passive_*.json
-
-step "obs: validate BENCH_*.json against docs/BENCH_SCHEMAS.md"
-# Every bench JSON present in the release tree must match its documented
-# schema exactly (unknown or missing fields fail).
-BENCH_JSON=$(find build-release -maxdepth 2 -name 'BENCH_*.json' | sort)
-if [[ -z "$BENCH_JSON" ]]; then
-  echo "check.sh: FAIL — no BENCH_*.json produced" >&2
-  exit 1
-fi
-# shellcheck disable=SC2086
-./build-release/tools/bench_schema_check $BENCH_JSON
 
 step "resilience: chaos gate (kill after K cells -> resume -> byte-identity)"
 # A run hard-killed mid-matrix (std::_Exit inside the progress callback,
@@ -296,8 +188,6 @@ chaos_cycle() {  # $1: extra flags ("" or --faults), $2: scenario tag
 }
 chaos_cycle ""       healthy
 chaos_cycle --faults faulty
-./build-release/tools/bench_schema_check \
-  "$CHAOS_DIR"/CHECKPOINT_*.json "$CHAOS_DIR"/REPORT_matrix_*.json
 
 step "campaign: chaos gate (kill after K shards -> resume -> byte-identity)"
 # Same discipline for the campaign engine: a run hard-killed mid-campaign
@@ -327,8 +217,6 @@ if ! cmp -s "$CAMP_DIR/REPORT_campaign_clean.json" \
   exit 1
 fi
 echo "campaign chaos gate OK: killed after 3 shards, resumed byte-identical"
-./build-release/tools/bench_schema_check \
-  "$CAMP_DIR"/CHECKPOINT_campaign.json "$CAMP_DIR"/REPORT_campaign_*.json
 
 echo
 echo "check.sh: tier-1 + ASan/UBSan + perf + obs + resilience + campaign + passive OK"

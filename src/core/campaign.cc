@@ -507,13 +507,41 @@ Value shard_record(std::size_t shard, const CampaignAggregate& state) {
   return r;
 }
 
+std::size_t count_numbers(const Value& v) {
+  std::size_t n = v.is_number() ? 1 : 0;
+  for (const Value& e : v.items()) n += count_numbers(e);
+  for (const obs::json::Member& m : v.members()) n += count_numbers(m.second);
+  return n;
+}
+
+/// Upper bound on a campaign checkpoint's bytes: a header allowance plus,
+/// per shard, the largest encoded record — the empty record with every
+/// number at its widest, plus every sketch cell as an [index, count] pair.
+std::size_t campaign_checkpoint_limit(const CampaignSpec& spec,
+                                      std::size_t shards,
+                                      std::size_t profile_count) {
+  constexpr std::size_t kNumberBytes = 26;  // %.17g or 20 digits, plus ','
+  const CampaignAggregate empty{spec.grid, profile_count};
+  const Value record = shard_record(0, empty);
+  const std::size_t sketches =
+      2 * empty.methods.size() + empty.profiles.size() + 2;
+  const std::size_t cells =
+      2 * static_cast<std::size_t>(std::max(spec.grid.cells, 0)) + 1;
+  const std::size_t largest = record.dump().size() +
+                              kNumberBytes * count_numbers(record) +
+                              sketches * cells * (2 * kNumberBytes + 3);
+  return 4096 + shards * largest;
+}
+
 /// Load a campaign checkpoint and return per-shard aggregates. Forgiving
-/// like CheckpointReader: anything unusable degrades to "no records".
+/// like CheckpointReader: anything unusable, including a file larger than
+/// this run's checkpoint could be, degrades to "no records".
 std::map<std::size_t, CampaignAggregate> load_campaign_checkpoint(
     const std::string& path, const CampaignSpec& spec, std::size_t shards,
     std::size_t profile_count) {
   std::map<std::size_t, CampaignAggregate> out;
-  const std::optional<std::string> text = read_file_contents(path);
+  const std::optional<std::string> text = read_file_contents(
+      path, campaign_checkpoint_limit(spec, shards, profile_count));
   if (!text) return out;
   const std::optional<Value> doc = obs::json::parse(*text);
   if (!doc || !doc->is_object()) return out;

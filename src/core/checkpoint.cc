@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -208,17 +209,48 @@ bool write_file_atomic(const std::string& path, const std::string& contents) {
   return true;
 }
 
-std::optional<std::string> read_file_contents(const std::string& path) {
+std::optional<std::string> read_file_contents(const std::string& path,
+                                              std::size_t max_bytes,
+                                              std::string* error) {
+  const auto fail = [&](const std::string& what) {
+    if (error) *error = what;
+    return std::nullopt;
+  };
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return std::nullopt;
+  if (!f) return fail("cannot read " + path);
   std::string out;
   char buf[1 << 14];
   std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  while (out.size() <= max_bytes &&
+         (n = std::fread(buf, 1, sizeof buf, f)) > 0) {
+    out.append(buf, n);
+  }
   const bool err = std::ferror(f) != 0;
+  long size = -1;
+  if (out.size() > max_bytes && std::fseek(f, 0, SEEK_END) == 0) {
+    size = std::ftell(f);
+  }
   std::fclose(f);
-  if (err) return std::nullopt;
+  if (err) return fail("cannot read " + path);
+  if (out.size() > max_bytes) {
+    return fail(path + " is " + std::to_string(size) + " bytes, over the " +
+                std::to_string(max_bytes) + "-byte limit for this run");
+  }
   return out;
+}
+
+std::size_t matrix_checkpoint_limit(
+    const std::vector<ExperimentConfig>& cells) {
+  // A record's labels, hash, counters and first_error fit in 4 KiB; a
+  // repetition is 8 numbers of at most 25 characters plus separators.
+  constexpr std::size_t kRecordBytes = 4096;
+  constexpr std::size_t kSampleBytes = 8 * 26 + 2;
+  std::size_t limit = kRecordBytes;  // header
+  for (const ExperimentConfig& cell : cells) {
+    limit += kRecordBytes +
+             kSampleBytes * static_cast<std::size_t>(std::max(cell.runs, 0));
+  }
+  return limit;
 }
 
 std::uint64_t cell_config_hash(const ExperimentConfig& config) {
@@ -418,15 +450,13 @@ bool CheckpointWriter::flush() {
 // Reader.
 
 std::optional<CheckpointReader> CheckpointReader::load(const std::string& path,
+                                                       std::size_t max_bytes,
                                                        std::string* error) {
   const auto set_error = [&](const std::string& what) {
     if (error) *error = what;
   };
-  std::optional<std::string> text = read_file_contents(path);
-  if (!text) {
-    set_error("cannot read " + path);
-    return std::nullopt;
-  }
+  std::optional<std::string> text = read_file_contents(path, max_bytes, error);
+  if (!text) return std::nullopt;
   std::string parse_error;
   std::optional<Value> doc = obs::json::parse(*text, &parse_error);
   if (!doc || doc->type() != Value::Type::kObject) {

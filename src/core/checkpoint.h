@@ -92,9 +92,19 @@ std::uint64_t cell_config_hash(const ExperimentConfig& config);
 /// Returns false (old file intact) on I/O failure.
 bool write_file_atomic(const std::string& path, const std::string& contents);
 
-/// Slurp a file; nullopt when it cannot be read. The forgiving-reader
-/// counterpart of write_file_atomic for resume paths.
-std::optional<std::string> read_file_contents(const std::string& path);
+/// Slurp a file of at most `max_bytes`; nullopt (reason in *error when
+/// given) when it cannot be read or is larger. The forgiving-reader
+/// counterpart of write_file_atomic for resume paths: each reader derives
+/// the limit from the run it resumes, so a hostile file is rejected before
+/// the parser allocates for it.
+std::optional<std::string> read_file_contents(const std::string& path,
+                                              std::size_t max_bytes,
+                                              std::string* error = nullptr);
+
+/// Upper bound on the bytes of a matrix checkpoint over `cells`: a fixed
+/// allowance per cell record plus the widest encoding of every repetition
+/// (CheckpointReader::load's limit on resume).
+std::size_t matrix_checkpoint_limit(const std::vector<ExperimentConfig>& cells);
 
 /// cell_config_hash as fixed-width lowercase hex (the on-disk key).
 std::string cell_config_hash_hex(const ExperimentConfig& config);
@@ -174,10 +184,12 @@ struct CheckpointRecord {
 /// Parsed checkpoint with hash-checked record lookup.
 class CheckpointReader {
  public:
-  /// Parse `path`. nullopt when the file is absent, unparsable, or not a
-  /// checkpoint (detail in *error when given) — resuming from nothing is
-  /// always safe, so corruption degrades to a fresh run, never a failure.
+  /// Parse `path`. nullopt when the file is absent, over `max_bytes`,
+  /// unparsable, or not a checkpoint (detail in *error when given) —
+  /// resuming from nothing is always safe, so corruption degrades to a
+  /// fresh run, never a failure.
   static std::optional<CheckpointReader> load(const std::string& path,
+                                              std::size_t max_bytes,
                                               std::string* error = nullptr);
 
   std::size_t total_cells() const { return total_cells_; }

@@ -399,7 +399,8 @@ MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
                                                 options.checkpoint.flush_every);
     if (options.checkpoint.resume) {
       std::optional<CheckpointReader> reader =
-          CheckpointReader::load(options.checkpoint.path);
+          CheckpointReader::load(options.checkpoint.path,
+                                 matrix_checkpoint_limit(cells));
       if (reader) {
         for (std::size_t i = 0; i < cells.size(); ++i) {
           const OverheadSeries* stored = reader->lookup(i, cells[i]);

@@ -2,8 +2,8 @@
 //
 // Exists so the repo's tooling can *read back* the JSON it emits — the
 // trace exporters' round-trip tests (tests/test_obs.cpp) and the bench
-// schema validator (tools/bench_schema_check) both parse real output files
-// with it. It is deliberately small: full JSON per RFC 8259 minus \uXXXX
+// checker (tools/bench_schema_check) both parse real output files with
+// it, and the benches build their BENCH_*.json with it. It is deliberately small: full JSON per RFC 8259 minus \uXXXX
 // surrogate pairs (escapes decode to '?') — none of our emitters produce
 // non-ASCII. Not a streaming parser; documents here are tens of KiB.
 //

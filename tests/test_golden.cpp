@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -107,6 +110,17 @@ CampaignSpec campaign_2k(int shards) {
   return spec;
 }
 
+/// The bytes of a checkpoint file, which is then removed.
+std::string take_file(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream out;
+  out << in.rdbuf();
+  in.close();
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+  return out.str();
+}
+
 std::string campaign_report(int shards, int jobs) {
   const CampaignSpec spec = campaign_2k(shards);
   CampaignOptions options;
@@ -141,6 +155,30 @@ TEST(Golden, ChaosFaultMatrix) {
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(fnv1a(matrix_report_json(cells, result.series)),
             golden::kChaosFaultMatrix);
+}
+
+/// The final checkpoint of a clean `tools/chaos_matrix --faults` run.
+TEST(Golden, ChaosFaultMatrixCheckpoint) {
+  const std::string path = "bnm_golden_chaos_checkpoint.json";
+  std::remove(path.c_str());
+  const std::vector<ExperimentConfig> cells = chaos_fault_matrix();
+  MatrixOptions options;
+  options.jobs = 2;
+  options.checkpoint.path = path;
+  EXPECT_TRUE(run_matrix_checked(cells, options).ok());
+  EXPECT_EQ(fnv1a(take_file(path)), golden::kChaosFaultMatrixCheckpoint);
+}
+
+/// The final checkpoint of the campaign chaos gate's clean run: 2,000
+/// clients in 8 shards, serially.
+TEST(Golden, Campaign2kEightShardCheckpoint) {
+  const std::string path = "bnm_golden_campaign_checkpoint.json";
+  std::remove(path.c_str());
+  CampaignOptions options;
+  options.jobs = 1;
+  options.checkpoint = path;
+  run_campaign(campaign_2k(/*shards=*/8), options);
+  EXPECT_EQ(fnv1a(take_file(path)), golden::kCampaign2kCheckpoint);
 }
 
 TEST(Golden, Campaign2kOneShardSerial) {

@@ -1,7 +1,7 @@
 // Checkpoint/resume contract: stable config hashing, exact series
 // round-trips (including awkward doubles), golden file bytes, resume
-// bit-identity, and graceful degradation on corrupt (torn, mismatched or
-// hostile deeply nested) matrix and campaign checkpoints. Plus the
+// bit-identity, and graceful degradation on corrupt (torn, mismatched,
+// oversize or hostile deeply nested) matrix and campaign checkpoints. Plus the
 // FaultPlan construction-time validation that protects the same campaigns.
 #include <gtest/gtest.h>
 
@@ -21,6 +21,8 @@
 
 namespace bnm::core {
 namespace {
+
+constexpr std::size_t kMiB = std::size_t{1} << 20;
 
 /// Unique-ish temp path under the build tree; removed on destruction.
 class TempFile {
@@ -183,7 +185,8 @@ TEST(CheckpointFile, GoldenBytes) {
   EXPECT_EQ(slurp(tmp.path()), expected);
 
   // And the reader accepts its own golden bytes.
-  std::optional<CheckpointReader> reader = CheckpointReader::load(tmp.path());
+  std::optional<CheckpointReader> reader = CheckpointReader::load(
+      tmp.path(), matrix_checkpoint_limit(std::vector<ExperimentConfig>(3, cfg)));
   ASSERT_TRUE(reader.has_value());
   EXPECT_EQ(reader->total_cells(), 3u);
   EXPECT_EQ(reader->records(), 1u);
@@ -234,7 +237,7 @@ TEST(CheckpointFile, ResumeIsBitIdenticalToCleanRun) {
 
   // The rewritten checkpoint also carries all four cells now.
   std::optional<CheckpointReader> reader =
-      CheckpointReader::load(partial_ck.path());
+      CheckpointReader::load(partial_ck.path(), matrix_checkpoint_limit(cells));
   ASSERT_TRUE(reader.has_value());
   EXPECT_EQ(reader->records(), 4u);
 }
@@ -268,7 +271,7 @@ TEST(CheckpointFile, HashMismatchRerunsTheCell) {
 TEST(CheckpointFile, CorruptOrMissingCheckpointDegradesToFreshRun) {
   std::string error;
   EXPECT_FALSE(
-      CheckpointReader::load("definitely_missing_ckpt.json", &error));
+      CheckpointReader::load("definitely_missing_ckpt.json", kMiB, &error));
   EXPECT_FALSE(error.empty());
 
   TempFile ck{"corrupt"};
@@ -277,7 +280,7 @@ TEST(CheckpointFile, CorruptOrMissingCheckpointDegradesToFreshRun) {
     out << "{\"format\":\"bnm-matrix-checkpoint\",\"version\":1,\"cel";  // torn
   }
   error.clear();
-  EXPECT_FALSE(CheckpointReader::load(ck.path(), &error));
+  EXPECT_FALSE(CheckpointReader::load(ck.path(), 8 * kMiB, &error));
   EXPECT_FALSE(error.empty());
 
   // The engine shrugs and runs everything.
@@ -298,7 +301,7 @@ TEST(CheckpointFile, CorruptOrMissingCheckpointDegradesToFreshRun) {
            "\"records\":[]}\n";
   }
   error.clear();
-  EXPECT_FALSE(CheckpointReader::load(ck.path(), &error));
+  EXPECT_FALSE(CheckpointReader::load(ck.path(), 8 * kMiB, &error));
   EXPECT_NE(error.find("format"), std::string::npos);
 }
 
@@ -313,7 +316,7 @@ TEST(CheckpointFile, DeeplyNestedCheckpointsResumeAsCleanRuns) {
   TempFile ck{"deep"};
   write_hostile(ck.path());
   std::string error;
-  EXPECT_FALSE(CheckpointReader::load(ck.path(), &error));
+  EXPECT_FALSE(CheckpointReader::load(ck.path(), 8 * kMiB, &error));
   EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
 
   const auto cells = std::vector<ExperimentConfig>{demo_config()};
@@ -348,6 +351,41 @@ TEST(CheckpointFile, DeeplyNestedCheckpointsResumeAsCleanRuns) {
   EXPECT_EQ(campaign.shards_resumed, 0u);
   EXPECT_EQ(campaign.shards_run, campaign.shards);
   EXPECT_EQ(campaign_report_json(spec, campaign), clean_report);
+}
+
+TEST(CheckpointFile, OversizeCheckpointIsRejectedBeforeParsing) {
+  // An 8 MB "[0,0,...,0]": parsing its 4M elements costs ~54x the file in
+  // json::Values. The resuming run's own limit (a few KiB for one 2-run
+  // cell) rejects it unread, and the run degrades to a fresh one.
+  TempFile ck{"oversize"};
+  std::string hostile(8'000'001, '0');
+  for (std::size_t i = 2; i + 1 < hostile.size(); i += 2) hostile[i] = ',';
+  hostile.front() = '[';
+  hostile.back() = ']';
+  {
+    std::ofstream out{ck.path(), std::ios::binary};
+    out << hostile;
+  }
+
+  const auto cells = std::vector<ExperimentConfig>{demo_config()};
+  std::string error;
+  EXPECT_FALSE(
+      CheckpointReader::load(ck.path(), matrix_checkpoint_limit(cells), &error));
+  EXPECT_NE(error.find("is 8000001 bytes, over the"), std::string::npos)
+      << error;
+
+  MatrixOptions clean_opts;
+  clean_opts.jobs = 1;
+  const MatrixResult clean = run_matrix_checked(cells, clean_opts);
+  MatrixOptions options = clean_opts;
+  options.checkpoint.path = ck.path();
+  options.checkpoint.resume = true;
+  const MatrixResult resumed = run_matrix_checked(cells, options);
+  EXPECT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed.cells_resumed, 0u);
+  EXPECT_EQ(resumed.cells_run, 1u);
+  EXPECT_EQ(matrix_report_json(cells, resumed.series),
+            matrix_report_json(cells, clean.series));
 }
 
 TEST(FaultPlanValidation, RejectsIllFormedPlansOnConstruction) {

@@ -1,697 +1,56 @@
-// Validates emitted BENCH_*.json files against the schemas documented in
-// docs/BENCH_SCHEMAS.md. scripts/check.sh runs this after the benches:
-// unknown fields, missing required fields, and type mismatches all fail
-// the check, so the documented schema and the emitters cannot drift apart
-// silently.
+// Checks emitted BENCH_*.json files. Each file's shape must match the
+// committed repo-root file of the same basename (the same member names in
+// the same order, the same kinds), and every gate in its "gates" array
+// must pass (bench/bench_json.h holds both checks; docs/BENCH_SCHEMAS.md
+// describes the fields).
 //
-//   bench_schema_check BENCH_perf_matrix.json BENCH_obs_overhead.json ...
-//
-// The schema each file is checked against is chosen by its basename.
+//   bench_schema_check build-release/BENCH_*.json
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/json.h"
+#include "bench_json.h"
 
 namespace {
 
 using bnm::obs::json::Value;
 
-// A field type in the schema tree. kNumber accepts integers too (printf
-// emitters write "0" for a zero double); kInt does not accept doubles.
-enum class FieldType { kInt, kNumber, kBool, kString, kObject, kArray };
-
-struct Field {
-  const char* name;
-  FieldType type;
-  bool required = true;
-  std::vector<Field> children;  // kObject: members; kArray: element schema
-};
-
-bool type_matches(const Value& v, FieldType t) {
-  switch (t) {
-    case FieldType::kInt: return v.is_int();
-    case FieldType::kNumber: return v.is_number();
-    case FieldType::kBool: return v.is_bool();
-    case FieldType::kString: return v.is_string();
-    case FieldType::kObject: return v.is_object();
-    case FieldType::kArray: return v.is_array();
-  }
-  return false;
-}
-
-const char* type_name(FieldType t) {
-  switch (t) {
-    case FieldType::kInt: return "integer";
-    case FieldType::kNumber: return "number";
-    case FieldType::kBool: return "bool";
-    case FieldType::kString: return "string";
-    case FieldType::kObject: return "object";
-    case FieldType::kArray: return "array";
-  }
-  return "?";
-}
-
-int g_errors = 0;
-
-void error(const std::string& where, const std::string& what) {
-  std::fprintf(stderr, "schema: %s: %s\n", where.c_str(), what.c_str());
-  ++g_errors;
-}
-
-void check_object(const Value& v, const std::vector<Field>& fields,
-                  const std::string& where);
-
-void check_field(const Value& v, const Field& f, const std::string& where) {
-  if (!type_matches(v, f.type)) {
-    error(where, std::string{"expected "} + type_name(f.type));
-    return;
-  }
-  if (f.type == FieldType::kObject) {
-    check_object(v, f.children, where);
-  } else if (f.type == FieldType::kArray && !f.children.empty()) {
-    const Field& elem = f.children.front();
-    for (std::size_t i = 0; i < v.items().size(); ++i) {
-      check_field(v.items()[i], elem, where + "[" + std::to_string(i) + "]");
-    }
-  }
-}
-
-void check_object(const Value& v, const std::vector<Field>& fields,
-                  const std::string& where) {
-  for (const auto& [key, member] : v.members()) {
-    const Field* match = nullptr;
-    for (const Field& f : fields) {
-      if (key == f.name) {
-        match = &f;
-        break;
-      }
-    }
-    if (!match) {
-      error(where, "unknown field \"" + key + "\"");
-      continue;
-    }
-    check_field(member, *match, where + "." + key);
-  }
-  for (const Field& f : fields) {
-    if (f.required && !v.find(f.name)) {
-      error(where, std::string{"missing required field \""} + f.name + "\"");
-    }
-  }
-}
-
-// ---- Schemas (docs/BENCH_SCHEMAS.md is the prose counterpart) ----------
-
-std::vector<Field> perf_matrix_schema() {
-  return {
-      {"hardware_concurrency", FieldType::kInt, true, {}},
-      {"matrix",
-       FieldType::kObject,
-       true,
-       {
-           {"cells", FieldType::kInt, true, {}},
-           {"runs_per_cell", FieldType::kInt, true, {}},
-           {"jobs", FieldType::kInt, true, {}},
-           {"serial_ms", FieldType::kNumber, true, {}},
-           {"parallel_ms", FieldType::kNumber, true, {}},
-           {"speedup", FieldType::kNumber, true, {}},
-           {"parallel_meaningful", FieldType::kBool, true, {}},
-           {"parallel_note", FieldType::kString, false, {}},
-           {"identical", FieldType::kBool, true, {}},
-           {"arena",
-            FieldType::kObject,
-            true,
-            {
-                {"stats_compiled", FieldType::kBool, true, {}},
-                {"allocs_avoided", FieldType::kInt, true, {}},
-                {"bytes_served", FieldType::kInt, true, {}},
-                {"peak_arena_bytes", FieldType::kInt, true, {}},
-            }},
-       }},
-      {"checkpoint",
-       FieldType::kObject,
-       true,
-       {
-           {"baseline_ms", FieldType::kNumber, true, {}},
-           {"disabled_ms", FieldType::kNumber, true, {}},
-           {"enabled_ms", FieldType::kNumber, true, {}},
-           {"disabled_overhead_percent", FieldType::kNumber, true, {}},
-           {"disabled_delta_ms", FieldType::kNumber, true, {}},
-           {"enabled_overhead_percent", FieldType::kNumber, true, {}},
-           {"identical", FieldType::kBool, true, {}},
-       }},
-      {"scheduler",
-       FieldType::kObject,
-       true,
-       {
-           {"events", FieldType::kInt, true, {}},
-           {"schedule_ns_per_event", FieldType::kNumber, true, {}},
-           {"post_ns_per_event", FieldType::kNumber, true, {}},
-           {"events_per_sec", FieldType::kNumber, true, {}},
-           {"batched_ns_per_event", FieldType::kNumber, true, {}},
-           {"stepwise_ns_per_event", FieldType::kNumber, true, {}},
-           {"batch_speedup", FieldType::kNumber, true, {}},
-           {"pooled_control_blocks", FieldType::kInt, true, {}},
-       }},
-      {"profile",
-       FieldType::kArray,
-       false,
-       {
-           {"",
-            FieldType::kObject,
-            true,
-            {
-                {"site", FieldType::kString, true, {}},
-                {"calls", FieldType::kInt, true, {}},
-                {"total_ms", FieldType::kNumber, true, {}},
-                {"avg_us", FieldType::kNumber, true, {}},
-                {"max_us", FieldType::kNumber, true, {}},
-            }},
-       }},
-  };
-}
-
-std::vector<Field> copy_counts() {
-  return {
-      {"deep_copy_bytes", FieldType::kInt, true, {}},
-      {"aliased_bytes", FieldType::kInt, true, {}},
-      {"old_design_bytes", FieldType::kInt, true, {}},
-      {"buffers_allocated", FieldType::kInt, true, {}},
-      {"copy_reduction", FieldType::kNumber, true, {}},
-  };
-}
-
-std::vector<Field> payload_copy_schema() {
-  std::vector<Field> tcp_bulk = {
-      {"transfer_bytes", FieldType::kInt, true, {}},
-      {"echoed_bytes", FieldType::kInt, true, {}},
-  };
-  std::vector<Field> probe_matrix = {
-      {"cells", FieldType::kInt, true, {}},
-      {"runs_per_cell", FieldType::kInt, true, {}},
-  };
-  for (Field& f : copy_counts()) {
-    tcp_bulk.push_back(f);
-    probe_matrix.push_back(f);
-  }
-  return {
-      {"tcp_bulk", FieldType::kObject, true, std::move(tcp_bulk)},
-      {"probe_matrix", FieldType::kObject, true, std::move(probe_matrix)},
-      {"handoff",
-       FieldType::kObject,
-       true,
-       {
-           {"payload_bytes", FieldType::kInt, true, {}},
-           {"handoffs", FieldType::kInt, true, {}},
-           {"alias_ns_per_packet", FieldType::kNumber, true, {}},
-           {"deep_copy_ns_per_packet", FieldType::kNumber, true, {}},
-       }},
-  };
-}
-
-std::vector<Field> fault_overhead_schema() {
-  return {
-      {"pipeline",
-       FieldType::kObject,
-       true,
-       {
-           {"packets", FieldType::kInt, true, {}},
-           {"direct_ns_per_packet", FieldType::kNumber, true, {}},
-           {"disabled_ns_per_packet", FieldType::kNumber, true, {}},
-           {"active_ns_per_packet", FieldType::kNumber, true, {}},
-       }},
-      {"experiment",
-       FieldType::kObject,
-       true,
-       {
-           {"cells", FieldType::kInt, true, {}},
-           {"runs_per_cell", FieldType::kInt, true, {}},
-           {"best_of", FieldType::kInt, true, {}},
-           {"baseline_ms", FieldType::kNumber, true, {}},
-           {"disabled_ms", FieldType::kNumber, true, {}},
-           {"overhead_percent", FieldType::kNumber, true, {}},
-           {"identical", FieldType::kBool, true, {}},
-       }},
-  };
-}
-
-std::vector<Field> obs_overhead_schema() {
-  return {
-      {"micro",
-       FieldType::kObject,
-       true,
-       {
-           {"iters", FieldType::kInt, true, {}},
-           {"raw_add_ns", FieldType::kNumber, true, {}},
-           {"counter_add_ns", FieldType::kNumber, true, {}},
-           {"profscope_disabled_ns", FieldType::kNumber, true, {}},
-           {"profscope_enabled_ns", FieldType::kNumber, true, {}},
-           {"trace_emit_disabled_ns", FieldType::kNumber, true, {}},
-       }},
-      {"experiment",
-       FieldType::kObject,
-       true,
-       {
-           {"cells", FieldType::kInt, true, {}},
-           {"runs_per_cell", FieldType::kInt, true, {}},
-           {"best_of", FieldType::kInt, true, {}},
-           {"disabled_ms", FieldType::kNumber, true, {}},
-           {"enabled_ms", FieldType::kNumber, true, {}},
-           {"measured_overhead_percent", FieldType::kNumber, true, {}},
-           {"profiled_scope_entries", FieldType::kInt, true, {}},
-           {"est_disabled_overhead_percent", FieldType::kNumber, true, {}},
-           {"identical", FieldType::kBool, true, {}},
-       }},
-      {"registry",
-       FieldType::kObject,
-       true,
-       {
-           {"metrics", FieldType::kInt, true, {}},
-           {"snapshot_bytes", FieldType::kInt, true, {}},
-           {"snapshot_identical", FieldType::kBool, true, {}},
-       }},
-  };
-}
-
-// Shared record schema for checkpoint and matrix-report files: one entry
-// per cell, keyed by the FNV-1a config hash, carrying a full OverheadSeries.
-std::vector<Field> cell_record() {
-  return {
-      {"cell", FieldType::kInt, true, {}},
-      {"config_hash", FieldType::kString, true, {}},
-      {"series",
-       FieldType::kObject,
-       true,
-       {
-           {"case_label", FieldType::kString, true, {}},
-           {"method_name", FieldType::kString, true, {}},
-           {"failures", FieldType::kInt, true, {}},
-           {"first_error", FieldType::kString, true, {}},
-           {"accounting",
-            FieldType::kObject,
-            true,
-            {
-                {"timeouts", FieldType::kInt, true, {}},
-                {"transport_errors", FieldType::kInt, true, {}},
-                {"degraded", FieldType::kInt, true, {}},
-                {"http_retries", FieldType::kInt, true, {}},
-                {"http_timeouts", FieldType::kInt, true, {}},
-            }},
-           {"samples",
-            FieldType::kArray,
-            true,
-            {
-                {"",
-                 FieldType::kArray,
-                 true,
-                 {
-                     {"", FieldType::kNumber, true, {}},
-                 }},
-            }},
-       }},
-  };
-}
-
-std::vector<Field> checkpoint_schema(const char* records_key) {
-  return {
-      {"format", FieldType::kString, true, {}},
-      {"version", FieldType::kInt, true, {}},
-      {"cells", FieldType::kInt, true, {}},
-      {records_key,
-       FieldType::kArray,
-       true,
-       {
-           {"", FieldType::kObject, true, cell_record()},
-       }},
-  };
-}
-
-// ---- Campaign schemas --------------------------------------------------
-
-// Derived-quantile summary of one sketch as campaign reports emit it
-// (count plus finite min/max/mean and fixed percentiles, zeros when empty).
-std::vector<Field> sketch_summary() {
-  return {
-      {"count", FieldType::kInt, true, {}},
-      {"min_ms", FieldType::kNumber, true, {}},
-      {"max_ms", FieldType::kNumber, true, {}},
-      {"mean_ms", FieldType::kNumber, true, {}},
-      {"p25_ms", FieldType::kNumber, true, {}},
-      {"p50_ms", FieldType::kNumber, true, {}},
-      {"p75_ms", FieldType::kNumber, true, {}},
-      {"p90_ms", FieldType::kNumber, true, {}},
-      {"p99_ms", FieldType::kNumber, true, {}},
-  };
-}
-
-// Full mergeable sketch state (stats::QuantileSketch::to_json) as campaign
-// checkpoints persist it: grid, exact counters, sparse [index, count] pairs.
-std::vector<Field> sketch_state() {
-  return {
-      {"lo", FieldType::kNumber, true, {}},
-      {"hi", FieldType::kNumber, true, {}},
-      {"cells", FieldType::kInt, true, {}},
-      {"count", FieldType::kInt, true, {}},
-      {"min", FieldType::kNumber, true, {}},
-      {"max", FieldType::kNumber, true, {}},
-      {"sum_ns", FieldType::kInt, true, {}},
-      {"buckets",
-       FieldType::kArray,
-       true,
-       {
-           {"",
-            FieldType::kArray,
-            true,
-            {
-                {"", FieldType::kInt, true, {}},
-            }},
-       }},
-  };
-}
-
-// Resilience counters shared by the aggregate and report per-method rows.
-void push_method_counters(std::vector<Field>* fields) {
-  for (const char* name : {"clients", "samples", "timeouts",
-                           "transport_errors", "degraded", "http_retries",
-                           "http_timeouts"}) {
-    fields->push_back({name, FieldType::kInt, true, {}});
-  }
-}
-
-// One shard's CampaignAggregate (checkpoint "state" member).
-std::vector<Field> campaign_aggregate() {
-  std::vector<Field> method{};
-  push_method_counters(&method);
-  method.push_back({"d1", FieldType::kObject, true, sketch_state()});
-  method.push_back({"d2", FieldType::kObject, true, sketch_state()});
-  method.push_back({"overhead_us",
-                    FieldType::kArray,
-                    true,
-                    {
-                        {"", FieldType::kInt, true, {}},
-                    }});
-  return {
-      {"clients", FieldType::kInt, true, {}},
-      {"samples", FieldType::kInt, true, {}},
-      {"failed_clients", FieldType::kInt, true, {}},
-      {"methods",
-       FieldType::kArray,
-       true,
-       {
-           {"", FieldType::kObject, true, std::move(method)},
-       }},
-      {"profiles",
-       FieldType::kArray,
-       true,
-       {
-           {"",
-            FieldType::kObject,
-            true,
-            {
-                {"clients", FieldType::kInt, true, {}},
-                {"samples", FieldType::kInt, true, {}},
-                {"d", FieldType::kObject, true, sketch_state()},
-            }},
-       }},
-      {"net_rtt", FieldType::kObject, true, sketch_state()},
-      {"rtt_inflation", FieldType::kObject, true, sketch_state()},
-  };
-}
-
-std::vector<Field> campaign_checkpoint_schema() {
-  return {
-      {"format", FieldType::kString, true, {}},
-      {"version", FieldType::kInt, true, {}},
-      {"spec_hash", FieldType::kString, true, {}},
-      {"clients", FieldType::kInt, true, {}},
-      {"shards", FieldType::kInt, true, {}},
-      {"records",
-       FieldType::kArray,
-       true,
-       {
-           {"",
-            FieldType::kObject,
-            true,
-            {
-                {"shard", FieldType::kInt, true, {}},
-                {"state", FieldType::kObject, true, campaign_aggregate()},
-            }},
-       }},
-  };
-}
-
-std::vector<Field> campaign_report_schema() {
-  std::vector<Field> method{{"kind", FieldType::kString, true, {}}};
-  push_method_counters(&method);
-  method.push_back({"d1", FieldType::kObject, true, sketch_summary()});
-  method.push_back({"d2", FieldType::kObject, true, sketch_summary()});
-  method.push_back({"overhead_us",
-                    FieldType::kObject,
-                    true,
-                    {
-                        {"bounds_us",
-                         FieldType::kArray,
-                         true,
-                         {
-                             {"", FieldType::kInt, true, {}},
-                         }},
-                        {"buckets",
-                         FieldType::kArray,
-                         true,
-                         {
-                             {"", FieldType::kInt, true, {}},
-                         }},
-                    }});
-  return {
-      {"format", FieldType::kString, true, {}},
-      {"version", FieldType::kInt, true, {}},
-      {"spec_hash", FieldType::kString, true, {}},
-      {"spec",
-       FieldType::kObject,
-       true,
-       {
-           {"seed", FieldType::kInt, true, {}},
-           {"clients", FieldType::kInt, true, {}},
-           {"runs_per_client", FieldType::kInt, true, {}},
-           {"min_rtt_window", FieldType::kInt, true, {}},
-           {"rtt_median_ms", FieldType::kNumber, true, {}},
-           {"lossy_fraction", FieldType::kNumber, true, {}},
-           {"loss_probability", FieldType::kNumber, true, {}},
-       }},
-      {"totals",
-       FieldType::kObject,
-       true,
-       {
-           {"clients", FieldType::kInt, true, {}},
-           {"samples", FieldType::kInt, true, {}},
-           {"failed_clients", FieldType::kInt, true, {}},
-       }},
-      {"methods",
-       FieldType::kArray,
-       true,
-       {
-           {"", FieldType::kObject, true, std::move(method)},
-       }},
-      {"profiles",
-       FieldType::kArray,
-       true,
-       {
-           {"",
-            FieldType::kObject,
-            true,
-            {
-                {"case", FieldType::kString, true, {}},
-                {"clients", FieldType::kInt, true, {}},
-                {"samples", FieldType::kInt, true, {}},
-                {"d", FieldType::kObject, true, sketch_summary()},
-            }},
-       }},
-      {"net_rtt", FieldType::kObject, true, sketch_summary()},
-      {"rtt_inflation", FieldType::kObject, true, sketch_summary()},
-  };
-}
-
-std::vector<Field> campaign_scale_schema() {
-  return {
-      {"clients", FieldType::kInt, true, {}},
-      {"runs_per_client", FieldType::kInt, true, {}},
-      {"shards", FieldType::kInt, true, {}},
-      {"jobs", FieldType::kInt, true, {}},
-      {"wall_ms", FieldType::kNumber, true, {}},
-      {"clients_per_sec", FieldType::kNumber, true, {}},
-      {"samples", FieldType::kInt, true, {}},
-      {"failed_clients", FieldType::kInt, true, {}},
-      {"identity",
-       FieldType::kObject,
-       true,
-       {
-           {"clients", FieldType::kInt, true, {}},
-           {"report_bytes", FieldType::kInt, true, {}},
-           {"identical_shards", FieldType::kBool, true, {}},
-       }},
-      {"memory",
-       FieldType::kObject,
-       true,
-       {
-           {"aggregate_bytes", FieldType::kInt, true, {}},
-           {"independent_of_clients", FieldType::kBool, true, {}},
-           {"peak_rss_kb", FieldType::kInt, true, {}},
-           {"per_shards",
-            FieldType::kArray,
-            true,
-            {
-                {"",
-                 FieldType::kObject,
-                 true,
-                 {
-                     {"shards", FieldType::kInt, true, {}},
-                     {"aggregation_bytes", FieldType::kInt, true, {}},
-                 }},
-            }},
-       }},
-  };
-}
-
-std::vector<Field> passive_scale_schema() {
-  return {
-      {"packets", FieldType::kInt, true, {}},
-      {"flows", FieldType::kInt, true, {}},
-      {"wall_ms", FieldType::kNumber, true, {}},
-      {"packets_per_sec", FieldType::kNumber, true, {}},
-      {"samples", FieldType::kInt, true, {}},
-      {"duplicate_tsvals", FieldType::kInt, true, {}},
-      {"sample_yield", FieldType::kNumber, true, {}},
-      {"report_bytes", FieldType::kInt, true, {}},
-      {"identical_reports", FieldType::kBool, true, {}},
-  };
-}
-
-// PassiveRttEstimator::report_json ("bnm.passive.report.v1"): counters,
-// per-flow summaries ordered by flow label, and the raw sample list.
-std::vector<Field> passive_report_schema() {
-  return {
-      {"schema", FieldType::kString, true, {}},
-      {"label", FieldType::kString, true, {}},
-      {"quantum_ns", FieldType::kInt, true, {}},
-      {"counters",
-       FieldType::kObject,
-       true,
-       {
-           {"packets", FieldType::kInt, true, {}},
-           {"ts_packets", FieldType::kInt, true, {}},
-           {"anchors", FieldType::kInt, true, {}},
-           {"duplicate_tsvals", FieldType::kInt, true, {}},
-           {"retransmit_poisoned", FieldType::kInt, true, {}},
-           {"suppressed_samples", FieldType::kInt, true, {}},
-           {"samples", FieldType::kInt, true, {}},
-           {"unmatched_echoes", FieldType::kInt, true, {}},
-           {"evicted", FieldType::kInt, true, {}},
-           {"half_flows", FieldType::kInt, true, {}},
-       }},
-      {"flows",
-       FieldType::kArray,
-       true,
-       {
-           {"",
-            FieldType::kObject,
-            true,
-            {
-                {"flow", FieldType::kString, true, {}},
-                {"samples", FieldType::kInt, true, {}},
-                {"min_rtt_ns", FieldType::kInt, true, {}},
-                {"median_rtt_ns", FieldType::kInt, true, {}},
-                {"max_rtt_ns", FieldType::kInt, true, {}},
-            }},
-       }},
-      {"samples",
-       FieldType::kArray,
-       true,
-       {
-           {"",
-            FieldType::kObject,
-            true,
-            {
-                {"from", FieldType::kString, true, {}},
-                {"to", FieldType::kString, true, {}},
-                {"anchor_ns", FieldType::kInt, true, {}},
-                {"rtt_ns", FieldType::kInt, true, {}},
-                {"tsval", FieldType::kInt, true, {}},
-                {"first", FieldType::kBool, true, {}},
-            }},
-       }},
-  };
-}
-
-bool has_prefix(const char* s, const char* prefix) {
-  return std::strncmp(s, prefix, std::strlen(prefix)) == 0;
-}
-
-const char* basename_of(const char* path) {
-  const char* slash = std::strrchr(path, '/');
-  return slash ? slash + 1 : path;
-}
-
-int check_file(const char* path) {
-  const char* base = basename_of(path);
-  std::vector<Field> schema;
-  if (!std::strcmp(base, "BENCH_perf_matrix.json")) {
-    schema = perf_matrix_schema();
-  } else if (!std::strcmp(base, "BENCH_payload_copy.json")) {
-    schema = payload_copy_schema();
-  } else if (!std::strcmp(base, "BENCH_fault_overhead.json")) {
-    schema = fault_overhead_schema();
-  } else if (!std::strcmp(base, "BENCH_obs_overhead.json")) {
-    schema = obs_overhead_schema();
-  } else if (!std::strcmp(base, "BENCH_campaign_scale.json")) {
-    schema = campaign_scale_schema();
-  } else if (!std::strcmp(base, "BENCH_passive_scale.json")) {
-    schema = passive_scale_schema();
-  } else if (has_prefix(base, "REPORT_passive")) {
-    schema = passive_report_schema();
-  } else if (has_prefix(base, "REPORT_campaign")) {
-    schema = campaign_report_schema();
-  } else if (has_prefix(base, "CHECKPOINT_campaign")) {
-    // Must precede the bare CHECKPOINT prefix (matrix checkpoints).
-    schema = campaign_checkpoint_schema();
-  } else if (has_prefix(base, "CHECKPOINT")) {
-    schema = checkpoint_schema("records");
-  } else if (has_prefix(base, "REPORT_matrix")) {
-    schema = checkpoint_schema("results");
-  } else {
-    std::fprintf(stderr, "schema: no schema registered for %s\n", base);
-    return 1;
-  }
-
+std::optional<Value> load(const std::string& path) {
   std::ifstream in{path};
   if (!in) {
-    std::fprintf(stderr, "schema: cannot read %s\n", path);
-    return 1;
+    std::fprintf(stderr, "schema: cannot read %s\n", path.c_str());
+    return std::nullopt;
   }
   std::ostringstream ss;
   ss << in.rdbuf();
-
-  std::string parse_error;
-  auto doc = bnm::obs::json::parse(ss.str(), &parse_error);
+  std::string error;
+  std::optional<Value> doc = bnm::obs::json::parse(ss.str(), &error);
   if (!doc) {
-    std::fprintf(stderr, "schema: %s: parse failed: %s\n", path,
-                 parse_error.c_str());
-    return 1;
+    std::fprintf(stderr, "schema: %s: parse failed: %s\n", path.c_str(),
+                 error.c_str());
   }
-  if (!doc->is_object()) {
-    std::fprintf(stderr, "schema: %s: top level is not an object\n", path);
-    return 1;
-  }
+  return doc;
+}
 
-  int before = g_errors;
-  check_object(*doc, schema, base);
-  if (g_errors == before) {
-    std::printf("schema: %s OK\n", base);
-    return 0;
+int check_file(const std::string& path) {
+  const std::string base = path.substr(path.find_last_of('/') + 1);
+  const std::optional<Value> doc = load(path);
+  const std::optional<Value> ref =
+      load(std::string{BNM_SOURCE_DIR} + "/" + base);
+  if (!doc || !ref) return 1;
+  std::vector<std::string> errors;
+  bnm::benchutil::compare_shape(*doc, *ref, "", &errors);
+  for (const std::string& e : errors) {
+    std::fprintf(stderr, "schema: %s: %s\n", base.c_str(), e.c_str());
   }
-  return 1;
+  std::printf("%s:\n", base.c_str());
+  const int failed = bnm::benchutil::check_gates(*doc);
+  if (!errors.empty() || failed > 0) return 1;
+  std::printf("schema: %s OK\n", base.c_str());
+  return 0;
 }
 
 }  // namespace
