@@ -43,7 +43,7 @@ struct MicroTimings {
 
 struct CountSink final : net::PacketSink {
   std::uint64_t count = 0;
-  void handle_packet(net::Packet) override { ++count; }
+  void handle_packet(net::Packet&&) override { ++count; }
 };
 
 net::Packet make_packet(std::uint64_t id) {

@@ -5,7 +5,7 @@
 namespace bnm::browser {
 
 void FlashRuntime::fetch_policy(net::IpAddress host,
-                                std::function<void(bool)> done) {
+                                sim::SmallFunction<void(bool)> done) {
   if (policy_loaded(host)) {
     done(true);
     return;

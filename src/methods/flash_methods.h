@@ -11,7 +11,7 @@ class FlashHttpMethod : public MeasurementMethod {
 
   const MethodInfo& info() const override { return info_; }
   void run(const MethodContext& ctx,
-           std::function<void(MethodRunResult)> done) override;
+           sim::SmallFunction<void(MethodRunResult)> done) override;
 
  private:
   bool post_;
@@ -24,7 +24,7 @@ class FlashSocketMethod : public MeasurementMethod {
 
   const MethodInfo& info() const override { return info_; }
   void run(const MethodContext& ctx,
-           std::function<void(MethodRunResult)> done) override;
+           sim::SmallFunction<void(MethodRunResult)> done) override;
 
  private:
   MethodInfo info_;

@@ -13,7 +13,7 @@ class JavaHttpMethod : public MeasurementMethod {
 
   const MethodInfo& info() const override { return info_; }
   void run(const MethodContext& ctx,
-           std::function<void(MethodRunResult)> done) override;
+           sim::SmallFunction<void(MethodRunResult)> done) override;
 
  private:
   bool post_;
@@ -26,7 +26,7 @@ class JavaSocketMethod : public MeasurementMethod {
 
   const MethodInfo& info() const override { return info_; }
   void run(const MethodContext& ctx,
-           std::function<void(MethodRunResult)> done) override;
+           sim::SmallFunction<void(MethodRunResult)> done) override;
 
  private:
   bool udp_;

@@ -95,7 +95,7 @@ class MeasurementMethod {
   /// Execute preparation + both measurements. `done` fires exactly once on
   /// success or error; it may fire synchronously on setup failure.
   virtual void run(const MethodContext& ctx,
-                   std::function<void(MethodRunResult)> done) = 0;
+                   sim::SmallFunction<void(MethodRunResult)> done) = 0;
 
   /// Abandon the in-flight run without delivering a result: tears down the
   /// run-state registered via arm_cancel() (sockets, plugin objects, the
@@ -111,13 +111,13 @@ class MeasurementMethod {
  protected:
   /// Implementations register their teardown at the start of run(); it is
   /// disarmed automatically when the run finishes normally.
-  void arm_cancel(std::function<void()> teardown) {
+  void arm_cancel(sim::SmallFunction<void()> teardown) {
     cancel_ = std::move(teardown);
   }
   void disarm_cancel() { cancel_ = nullptr; }
 
  private:
-  std::function<void()> cancel_;
+  sim::SmallFunction<void()> cancel_;
 };
 
 /// Helper shared by implementations: read a timing API now. Every method's

@@ -12,7 +12,7 @@ class WebSocketMethod : public MeasurementMethod {
 
   const MethodInfo& info() const override { return info_; }
   void run(const MethodContext& ctx,
-           std::function<void(MethodRunResult)> done) override;
+           sim::SmallFunction<void(MethodRunResult)> done) override;
 
  private:
   MethodInfo info_;

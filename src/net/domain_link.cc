@@ -31,7 +31,7 @@ sim::Duration DomainLink::serialization_delay(const Packet& packet) const {
   return sim::Duration::from_seconds_f(bits / config_.bandwidth_bps);
 }
 
-void DomainLink::transmit(LinkSide side, Packet packet) {
+void DomainLink::transmit(LinkSide side, Packet&& packet) {
   Direction& d = dir(side);
   assert(d.sink && "link side not attached");
   sim::Simulation& src = *d.src;

@@ -50,7 +50,7 @@ class DomainLink final : public Egress {
 
   /// Must be called from the side's own domain (its thread, during a
   /// window) — normal packet flow satisfies this automatically.
-  void transmit(LinkSide side, Packet packet) override;
+  void transmit(LinkSide side, Packet&& packet) override;
 
   const Config& config() const { return config_; }
   sim::Duration lookahead() const { return config_.propagation; }

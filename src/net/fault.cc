@@ -142,7 +142,7 @@ FaultInjector::FaultInjector(sim::Simulation& sim, FaultPlan plan)
 
 void FaultInjector::set_output(PacketSink* sink) {
   assert(sink);
-  output_ = [sink](Packet p) { sink->handle_packet(std::move(p)); };
+  output_ = [sink](Packet&& p) { sink->handle_packet(std::move(p)); };
 }
 
 void FaultInjector::note(FaultKind kind, const Packet& packet) {
@@ -191,7 +191,7 @@ std::optional<FaultKind> FaultInjector::apply_drop_faults(
   return std::nullopt;
 }
 
-void FaultInjector::handle_packet(Packet packet) {
+void FaultInjector::handle_packet(Packet&& packet) {
   assert(output_ && "FaultInjector has no output stage");
   ++counters_.seen;
   if (!active_) {  // pass-through: no RNG draws, no window scans
@@ -212,7 +212,7 @@ void FaultInjector::handle_packet(Packet packet) {
       rng_.chance(plan_.duplicate_probability)) {
     note(FaultKind::kDuplicate, packet);
     ++counters_.forwarded;
-    output_(packet);  // the copy; the original follows
+    output_(Packet{packet});  // the copy; the original follows
   }
   ++counters_.forwarded;
   output_(std::move(packet));

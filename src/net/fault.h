@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -117,13 +116,13 @@ class FaultInjector : public PacketSink {
  public:
   FaultInjector(sim::Simulation& sim, FaultPlan plan);
 
-  void set_output(std::function<void(Packet)> output) {
+  void set_output(PacketOutput output) {
     output_ = std::move(output);
   }
   void set_output(PacketSink* sink);
 
   /// Process one packet: apply the plan, forward survivors downstream.
-  void handle_packet(Packet packet) override;
+  void handle_packet(Packet&& packet) override;
 
   /// False when the plan is empty (stage is a zero-draw pass-through).
   bool active() const { return active_; }
@@ -147,7 +146,7 @@ class FaultInjector : public PacketSink {
   sim::Rng rng_;
   LossProcess loss_;
   bool active_ = false;
-  std::function<void(Packet)> output_;
+  PacketOutput output_;
   std::uint64_t data_ordinal_ = 0;
   FaultCounters counters_;
   EventTrace events_;

@@ -25,7 +25,7 @@ sim::Duration Link::serialization_delay(const Packet& packet) const {
   return sim::Duration::from_seconds_f(bits / config_.bandwidth_bps);
 }
 
-void Link::transmit(Side side, Packet packet) {
+void Link::transmit(Side side, Packet&& packet) {
   Direction& d = dir(side);
   assert(d.sink && "link side not attached");
 

@@ -12,7 +12,7 @@ DelayEmulator::DelayEmulator(sim::Simulation& sim, Config config)
                               : LossProcess::iid(config_.loss_probability);
 }
 
-void DelayEmulator::enqueue(Packet packet) {
+void DelayEmulator::enqueue(Packet&& packet) {
   assert(output_ && "DelayEmulator has no output stage");
   // netem order: loss, then duplication, then delay/jitter.
   if (loss_.enabled() && loss_.should_drop(rng_)) {
@@ -30,12 +30,12 @@ void DelayEmulator::enqueue(Packet packet) {
       sim_.trace().emit(sim_.now(), config_.name,
                         "duplicate " + packet.to_string());
     }
-    schedule_release(packet);  // the copy; the original follows
+    schedule_release(Packet{packet});  // the copy; the original follows
   }
   schedule_release(std::move(packet));
 }
 
-void DelayEmulator::schedule_release(Packet packet) {
+void DelayEmulator::schedule_release(Packet&& packet) {
   sim::Duration d = config_.delay;
   if (!config_.jitter.is_zero()) {
     d += rng_.uniform_ms(0.0, config_.jitter.ms_f());

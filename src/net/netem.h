@@ -13,11 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <optional>
 #include <string>
 
+#include "net/link.h"
 #include "net/loss_process.h"
 #include "net/packet.h"
 #include "sim/arena.h"
@@ -42,11 +42,11 @@ class DelayEmulator {
   DelayEmulator(sim::Simulation& sim, Config config);
 
   /// The downstream stage packets are released to.
-  void set_output(std::function<void(Packet)> output) {
+  void set_output(PacketOutput output) {
     output_ = std::move(output);
   }
 
-  void enqueue(Packet packet);
+  void enqueue(Packet&& packet);
 
   const Config& config() const { return config_; }
   void set_delay(sim::Duration d) { config_.delay = d; }
@@ -54,13 +54,13 @@ class DelayEmulator {
   std::uint64_t duplicates() const { return duplicates_; }
 
  private:
-  void schedule_release(Packet packet);
+  void schedule_release(Packet&& packet);
 
   sim::Simulation& sim_;
   Config config_;
   sim::Rng rng_;
   LossProcess loss_;
-  std::function<void(Packet)> output_;
+  PacketOutput output_;
   sim::TimePoint last_release_;
   std::uint64_t drops_ = 0;
   std::uint64_t duplicates_ = 0;

@@ -17,7 +17,7 @@ void SwitchFabric::learn(IpAddress ip, std::size_t port) {
   table_[ip] = port;
 }
 
-void SwitchFabric::handle_packet(Packet packet) {
+void SwitchFabric::handle_packet(Packet&& packet) {
   const auto it = table_.find(packet.dst.ip);
   if (it == table_.end()) {
     ++dropped_no_route_;

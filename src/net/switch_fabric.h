@@ -35,7 +35,7 @@ class SwitchFabric : public PacketSink {
   void learn(IpAddress ip, std::size_t port);
 
   // PacketSink: a packet arrived from one of the attached links.
-  void handle_packet(Packet packet) override;
+  void handle_packet(Packet&& packet) override;
 
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t dropped_no_route() const { return dropped_no_route_; }

@@ -270,7 +270,8 @@ void TcpConnection::on_segment(const Packet& seg) {
     cancel_rto();
     delack_timer_.cancel();
     enter(State::kClosed);
-    const auto cb = cbs_.on_reset;  // deregister() clears the callbacks
+    // deregister() clears the callbacks.
+    auto cb = std::move(cbs_.on_reset);
     deregister();
     if (cb) cb();
     return;
@@ -293,7 +294,7 @@ void TcpConnection::on_segment(const Packet& seg) {
         handle_ack(seg.ack);
         enter(State::kEstablished);
         send_ack_now();
-        if (auto cb = cbs_.on_connect) cb();
+        notify(&TcpCallbacks::on_connect);
         pump_send();  // flush data queued while connecting
       }
       return;
@@ -332,7 +333,7 @@ void TcpConnection::on_segment(const Packet& seg) {
       if (seg.flags.ack && seg.ack == iss_ + 1) {
         handle_ack(seg.ack);
         enter(State::kEstablished);
-        if (auto cb = cbs_.on_connect) cb();
+        notify(&TcpCallbacks::on_connect);
         if (seg.carries_data()) deliver_in_order(seg);
         pump_send();
       }
@@ -364,7 +365,7 @@ void TcpConnection::on_segment(const Packet& seg) {
                   self->deregister();
                 });
           }
-          if (auto cb = cbs_.on_close) cb();
+          notify(&TcpCallbacks::on_close);
         } else if (fin_received_) {
           send_ack_now();  // retransmitted FIN
         }
@@ -469,7 +470,7 @@ void TcpConnection::deliver_in_order(const Packet& seg) {
   }
   rcv_nxt_ += static_cast<std::uint32_t>(seg.payload.size());
   bytes_delivered_ += seg.payload.size();
-  if (auto cb = cbs_.on_data) cb(seg.payload);
+  notify(&TcpCallbacks::on_data, seg.payload);
   // Drain contiguous out-of-order segments.
   auto it = reassembly_.find(rcv_nxt_);
   while (it != reassembly_.end()) {
@@ -477,7 +478,7 @@ void TcpConnection::deliver_in_order(const Packet& seg) {
     reassembly_.erase(it);
     rcv_nxt_ += static_cast<std::uint32_t>(payload.size());
     bytes_delivered_ += payload.size();
-    if (auto cb = cbs_.on_data) cb(payload);
+    notify(&TcpCallbacks::on_data, payload);
     it = reassembly_.find(rcv_nxt_);
   }
   if (!reassembly_.empty()) {
@@ -507,7 +508,7 @@ void TcpConnection::on_rto_fire() {
     cancel_rto();
     delack_timer_.cancel();
     enter(State::kClosed);
-    const auto cb = cbs_.on_reset;
+    auto cb = std::move(cbs_.on_reset);
     deregister();
     if (cb) cb();
     return;
@@ -556,8 +557,9 @@ void TcpConnection::deregister() {
   // A closed connection delivers no further events; dropping the callbacks
   // here also breaks the common application cycle
   //   connection -> callbacks -> app state -> connection
-  // so fully torn down connections actually free.
-  cbs_ = {};
+  // so fully torn down connections actually free. (set_callbacks also
+  // stops a running notify() from putting its callback back.)
+  set_callbacks({});
   host_.deregister_connection(tuple_);
 }
 

@@ -19,6 +19,7 @@
 #include "net/address.h"
 #include "net/packet.h"
 #include "sim/arena.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace bnm::net {
@@ -30,10 +31,10 @@ class Host;
 /// bytes are copied on the delivery path; call as_vector()/as_string() (or
 /// keep the view) as needed.
 struct TcpCallbacks {
-  std::function<void()> on_connect;  ///< handshake complete (client side)
-  std::function<void(const Payload&)> on_data;
-  std::function<void()> on_close;  ///< peer sent FIN
-  std::function<void()> on_reset;  ///< connection aborted by RST
+  sim::SmallFunction<void()> on_connect;  ///< handshake complete (client side)
+  sim::SmallFunction<void(const Payload&)> on_data;
+  sim::SmallFunction<void()> on_close;  ///< peer sent FIN
+  sim::SmallFunction<void()> on_reset;  ///< connection aborted by RST
 };
 
 struct TcpConfig {
@@ -98,7 +99,10 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
 
-  void set_callbacks(TcpCallbacks cbs) { cbs_ = std::move(cbs); }
+  void set_callbacks(TcpCallbacks cbs) {
+    cbs_ = std::move(cbs);
+    ++cbs_generation_;
+  }
 
   /// Queue application bytes; segments go out subject to MSS. Segmentation
   /// takes zero-copy sub-views of the queued buffers (a deep copy happens
@@ -155,6 +159,18 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void cancel_rto();
   void on_rto_fire();
   void deregister();
+  /// Run the application callback in `slot`. The callable is moved out for
+  /// the call, because it may replace this connection's callbacks (the
+  /// HTTP client re-arms them per request) and must not be destroyed while
+  /// it runs; it is moved back unless set_callbacks() ran meanwhile.
+  template <typename Fn, typename... Args>
+  void notify(Fn TcpCallbacks::*slot, const Args&... args) {
+    Fn cb = std::move(cbs_.*slot);
+    if (!cb) return;
+    const std::uint64_t generation = cbs_generation_;
+    cb(args...);
+    if (generation == cbs_generation_) cbs_.*slot = std::move(cb);
+  }
   /// Current TSval: simulated time quantized to ts_granule, plus ts_offset.
   std::uint32_t tsval_now() const;
   /// Attach the timestamp option to an outgoing segment (ts_ok_ only).
@@ -168,6 +184,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   FourTuple tuple_;
   TcpConfig config_;
   TcpCallbacks cbs_;
+  /// Bumped by set_callbacks(); notify() uses it to tell whether the
+  /// callback it is running replaced the connection's callbacks.
+  std::uint64_t cbs_generation_ = 0;
   State state_ = State::kClosed;
   bool initiator_;
 

@@ -3,11 +3,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/address.h"
 #include "net/packet.h"
+#include "sim/callback.h"
 
 namespace bnm::net {
 
@@ -17,7 +17,7 @@ class UdpSocket {
  public:
   /// (source endpoint, payload). The payload is a zero-copy view of the
   /// datagram's buffer.
-  using ReceiveCallback = std::function<void(Endpoint, const Payload&)>;
+  using ReceiveCallback = sim::SmallFunction<void(Endpoint, const Payload&)>;
 
   UdpSocket(Host& host, Port local_port, ReceiveCallback on_receive);
 

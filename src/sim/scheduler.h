@@ -27,14 +27,22 @@
 // checks it directly, and the golden fingerprints (ctest -L golden) pin the
 // report bytes every canonical scenario produces on top of it.
 //
-// Hot-path costs: schedule_*/post_* are a bucket append plus (for the
-// cancellable path) a pooled control-block acquisition — no heap allocation
-// in steady state (tests/test_kernel_alloc.cpp asserts this with an
-// operator-new hook). run() fires whole buckets per batch with the
-// trace/profiling guards hoisted out of the per-event loop.
+// Hot-path costs: schedule_*/post_* construct the closure in a pooled cell
+// and append to a bucket, plus (for the cancellable path) a pooled
+// control-block acquisition — no heap allocation in steady state
+// (tests/test_kernel_alloc.cpp asserts this with an operator-new hook).
+// run() fires whole buckets per batch with the trace/profiling guards
+// hoisted out of the per-event loop.
+//
+// Storage reuse: the tier vectors (bottom, the kBuckets ring buckets,
+// overflow) and the callback cells only ever grow. A destroyed scheduler
+// parks them, drained, in a small per-thread cache and the next scheduler
+// built on that thread takes them warm, so a simulation neither pays a
+// per-bucket warm-up nor a kBuckets-sized construction.
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -119,20 +127,22 @@ class ControlBlockPool {
 /// bytes: bucket pushes, promotions and sorts move small PODs instead of
 /// memcpy'ing 64-byte closure buffers, and dispatch can invoke the callable
 /// in place — cells never move, even when the callback's own scheduling
-/// grows the pool or reshapes the queue tiers.
+/// grows the pool or reshapes the queue tiers. A closure is constructed
+/// straight into its cell (Scheduler::schedule_at and friends), so it is
+/// never relocated between the call site and dispatch.
 class CallbackPool {
  public:
-  SmallCallback* acquire(SmallCallback&& fn) {
+  /// An empty cell to construct a callable into.
+  SmallCallback* acquire() {
     if (free_.empty()) grow();
     SmallCallback* cell = free_.back();
     free_.pop_back();
-    *cell = std::move(fn);
     return cell;
   }
   /// Destroy the cell's callable (if any) and park the cell for reuse.
   /// Never allocates: grow() pre-reserves the free list.
   void release(SmallCallback* cell) {
-    *cell = SmallCallback{};
+    *cell = nullptr;
     free_.push_back(cell);
   }
 
@@ -212,15 +222,29 @@ class Scheduler {
   /// Current simulated time. Advances only inside run()/step().
   TimePoint now() const { return now_; }
 
-  /// Schedule `fn` to run at absolute time `at` (must be >= now()).
-  EventHandle schedule_at(TimePoint at, SmallCallback fn);
+  /// Schedule `fn` to run at absolute time `at` (must be >= now()). Any
+  /// `void()` callable; it is constructed in its pool cell, never moved
+  /// again before it fires.
+  template <typename F>
+  EventHandle schedule_at(TimePoint at, F&& fn) {
+    return schedule_cell(at, make_cell(std::forward<F>(fn)));
+  }
   /// Schedule `fn` to run `delay` after now(). Negative delays clamp to 0.
-  EventHandle schedule_after(Duration delay, SmallCallback fn);
+  template <typename F>
+  EventHandle schedule_after(Duration delay, F&& fn) {
+    return schedule_cell(after(delay), make_cell(std::forward<F>(fn)));
+  }
 
   /// Fire-and-forget variants: no cancellation handle, no control block.
   /// Prefer these on hot paths that never cancel.
-  void post_at(TimePoint at, SmallCallback fn);
-  void post_after(Duration delay, SmallCallback fn);
+  template <typename F>
+  void post_at(TimePoint at, F&& fn) {
+    push_entry(at, make_cell(std::forward<F>(fn)), 0);
+  }
+  template <typename F>
+  void post_after(Duration delay, F&& fn) {
+    push_entry(after(delay), make_cell(std::forward<F>(fn)), 0);
+  }
 
   /// Execute the next pending event; returns false if the queue is empty.
   bool step();
@@ -319,7 +343,28 @@ class Scheduler {
     return static_cast<std::uint64_t>(at.ns_since_epoch()) >> kBucketShiftNs;
   }
 
-  void push_entry(TimePoint at, SmallCallback fn, std::uint32_t block);
+  /// The queue tiers and the callback cells: storage that only grows, so
+  /// it is recycled across schedulers on the same thread (see
+  /// take_tiers()) instead of being rebuilt from zero by every simulation.
+  struct Tiers;
+  friend struct TierCache;
+  /// A warm Tiers parked by a destroyed scheduler on this thread, or a
+  /// fresh (empty, unallocated) one. One allocation at most, whatever
+  /// kBuckets is.
+  static Tiers* take_tiers();
+  /// Park `tiers` (drained) for the next scheduler on this thread.
+  static void park_tiers(Tiers* tiers);
+
+  TimePoint after(Duration delay) const {
+    return delay.is_negative() ? now_ : now_ + delay;
+  }
+  template <typename F>
+  SmallCallback* make_cell(F&& fn);
+  EventHandle schedule_cell(TimePoint at, SmallCallback* cb);
+  void push_entry(TimePoint at, SmallCallback* cb, std::uint32_t block);
+  /// Release every queued entry's callable, optionally retiring its
+  /// control block (clear() does; the destructor leaves blocks pending).
+  void drop_all(bool retire_blocks);
   /// Fire (or discard, if cancelled) the next bottom entry. Returns true
   /// if a live event ran. Caller guarantees bottom_pos_ < bottom_.size().
   bool fire_one(bool tracing);
@@ -334,12 +379,10 @@ class Scheduler {
   void note_batch(std::size_t fired);
 
   detail::ControlBlockPool* pool_;
-  detail::CallbackPool cbpool_;
+  Tiers* tiers_;
 
-  // Calendar tiers.
-  std::vector<Entry> bottom_;
+  // Calendar bookkeeping (the tier vectors live in *tiers_).
   std::size_t bottom_pos_ = 0;
-  std::array<std::vector<Entry>, kBuckets> ring_;
   std::array<std::uint64_t, kBuckets / 64> occupied_{};
   /// Bit set when a ring bucket received an out-of-order entry; a clear bit
   /// means the bucket is already (at, seq)-sorted at promotion time and the
@@ -347,7 +390,6 @@ class Scheduler {
   std::array<std::uint64_t, kBuckets / 64> unsorted_{};
   std::size_t ring_count_ = 0;
   std::uint64_t next_abs_bucket_ = 0;  ///< first un-promoted bucket index
-  std::vector<Entry> overflow_;        ///< heap, Later{}
 
   TimePoint now_;
   std::uint64_t next_seq_ = 0;
@@ -355,5 +397,20 @@ class Scheduler {
   std::uint64_t batches_ = 0;
   Trace* trace_ = nullptr;
 };
+
+struct Scheduler::Tiers {
+  std::vector<Entry> bottom;
+  std::array<std::vector<Entry>, kBuckets> ring;
+  std::vector<Entry> overflow;  ///< heap, Later{}
+  detail::CallbackPool callbacks;
+};
+
+template <typename F>
+SmallCallback* Scheduler::make_cell(F&& fn) {
+  SmallCallback* cell = tiers_->callbacks.acquire();
+  *cell = std::forward<F>(fn);
+  assert(*cell && "scheduling an empty callback");
+  return cell;
+}
 
 }  // namespace bnm::sim

@@ -19,7 +19,7 @@ namespace {
 
 class Collector : public PacketSink {
  public:
-  void handle_packet(Packet p) override { packets.push_back(std::move(p)); }
+  void handle_packet(Packet&& p) override { packets.push_back(std::move(p)); }
   std::vector<Packet> packets;
 };
 
@@ -215,7 +215,7 @@ TEST(FaultInjector, DuplicationEmitsCopyThenOriginal) {
 
   Packet p = make_data_packet();
   p.id = 77;
-  fi.handle_packet(p);
+  fi.handle_packet(Packet{p});
   ASSERT_EQ(out.packets.size(), 2u);
   EXPECT_EQ(out.packets[0].id, 77u);
   EXPECT_EQ(out.packets[1].id, 77u);
@@ -313,7 +313,7 @@ TEST(ChecksumDrop, CorruptedPacketIsCapturedButNeverDemuxed) {
   p.src = Endpoint{IpAddress{10, 0, 0, 8}, 5000};
   p.dst = Endpoint{host.ip(), 4000};
   p.payload.assign(8, 0x42);
-  static_cast<PacketSink&>(host).handle_packet(p);
+  static_cast<PacketSink&>(host).handle_packet(Packet{p});
   sim.scheduler().run();
 
   EXPECT_EQ(received, 0);

@@ -11,7 +11,7 @@ namespace {
 class Collector : public PacketSink {
  public:
   explicit Collector(sim::Simulation& sim) : sim_{sim} {}
-  void handle_packet(Packet p) override {
+  void handle_packet(Packet&& p) override {
     packets.push_back(p);
     times.push_back(sim_.now());
   }
@@ -54,7 +54,7 @@ TEST_F(LinkTest, DeliveryTimeIsSerializationPlusPropagation) {
   const sim::Duration ser = link->serialization_delay(p);
   EXPECT_NEAR(ser.us_f(), 1038.0 * 8.0 / 100.0, 0.01);  // 83.04 us
 
-  link->transmit(Link::Side::kA, p);
+  link->transmit(Link::Side::kA, Packet{p});
   sim.scheduler().run();
   ASSERT_EQ(b->packets.size(), 1u);
   EXPECT_EQ(b->times[0] - sim::TimePoint::epoch(),
@@ -70,9 +70,9 @@ TEST_F(LinkTest, TransmitterSerializesBackToBack) {
 
   const Packet p = make_packet(1460);
   const sim::Duration ser = link->serialization_delay(p);
-  link->transmit(Link::Side::kA, p);
-  link->transmit(Link::Side::kA, p);
-  link->transmit(Link::Side::kA, p);
+  link->transmit(Link::Side::kA, Packet{p});
+  link->transmit(Link::Side::kA, Packet{p});
+  link->transmit(Link::Side::kA, Packet{p});
   sim.scheduler().run();
   ASSERT_EQ(b->packets.size(), 3u);
   // Queueing: packet k completes serialization at (k+1)*ser.

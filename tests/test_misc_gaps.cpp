@@ -31,7 +31,7 @@ TEST_F(StrayTcp, DataToUnknownConnectionGetsRst) {
   // Watch the client capture for the RST coming back.
   client->tcp_listen(55555, [](std::shared_ptr<net::TcpConnection>) {});
   // Send via a raw path: use the client's send_packet plumbing.
-  client->send_packet(stray);
+  client->send_packet(net::Packet{stray});
   run_all();
   for (std::size_t i = 0; i < client->capture().size(); ++i) {
     const auto r = client->capture().at(i);
@@ -50,7 +50,7 @@ TEST_F(StrayTcp, RstIsNotAnsweredWithRst) {
   rst.src = {client->ip(), 55556};
   rst.dst = server_ep(9000);
   rst.flags.rst = true;
-  client->send_packet(rst);
+  client->send_packet(net::Packet{rst});
   run_all();
   for (std::size_t i = 0; i < client->capture().size(); ++i) {
     const auto r = client->capture().at(i);

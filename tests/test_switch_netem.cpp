@@ -12,7 +12,7 @@ namespace {
 class Collector : public PacketSink {
  public:
   explicit Collector(sim::Simulation& sim) : sim_{sim} {}
-  void handle_packet(Packet p) override {
+  void handle_packet(Packet&& p) override {
     packets.push_back(p);
     times.push_back(sim_.now());
   }

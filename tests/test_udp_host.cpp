@@ -118,7 +118,7 @@ TEST_F(UdpTest, HostIgnoresPacketsForOtherIps) {
   auto sock = client->udp_open(9001, [&](Endpoint, const Payload&) {
     delivered = true;
   });
-  client->handle_packet(p);
+  client->handle_packet(Packet{p});
   run_all();
   EXPECT_FALSE(delivered);
   EXPECT_EQ(client->capture().size(), 1u);
