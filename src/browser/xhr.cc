@@ -42,20 +42,21 @@ bool XmlHttpRequest::send(const std::string& body) {
   const sim::Duration pre = browser_.sample_pre_send(kind, first);
   browser_.sim().scheduler().schedule_after(pre, [this, alive = alive_, kind,
                                                   first,
-                                                  req = std::move(req)] {
+                                                  req = std::move(req)]() mutable {
     if (!*alive) return;
     browser_.http().request(
-        url_.endpoint, req,
+        url_.endpoint, std::move(req),
         [this, alive, kind, first](http::HttpResponse resp,
                                    http::HttpClient::TransferInfo) {
           if (!*alive) return;
           const sim::Duration dispatch =
               browser_.sample_recv_dispatch(kind, first);
           browser_.event_loop().post(
-              dispatch, [this, alive, resp = std::move(resp)] {
+              dispatch, [this, alive, status = resp.status,
+                         body = std::move(resp.body)]() mutable {
                 if (!*alive) return;
-                status_ = resp.status;
-                response_text_ = resp.body;
+                status_ = status;
+                response_text_ = std::move(body);
                 change_state(ReadyState::kDone);
                 // Browsers signal a network error as readyState 4 with
                 // status 0, then fire onerror.

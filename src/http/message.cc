@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 
 namespace bnm::http {
 
@@ -26,6 +27,9 @@ bool Headers::icontains(std::string_view haystack, std::string_view needle) {
 }
 
 void Headers::add(std::string name, std::string value) {
+  // Messages carry a handful of headers: one allocation instead of the
+  // 1-2-4 doubling chain.
+  if (entries_.capacity() == 0) entries_.reserve(kTypicalCount);
   entries_.emplace_back(std::move(name), std::move(value));
 }
 
@@ -68,49 +72,103 @@ bool has_framing(const Headers& headers) {
          headers.contains("Transfer-Encoding");
 }
 
-/// The start line "a b c", the header lines, a Content-Length line when
-/// `length` is set, the blank line and the body, built in one allocation.
-std::string serialize_message(std::string_view a, std::string_view b,
-                              std::string_view c, const Headers& headers,
-                              std::optional<std::size_t> length,
-                              const std::string& body) {
-  // 40: "Content-Length: ", 20 digits and two CRLFs.
-  std::size_t size = a.size() + b.size() + c.size() + 4 + 40 + body.size();
-  for (const auto& [name, value] : headers.entries()) {
-    size += name.size() + value.size() + 4;
+/// One message's wire form: the start line "a b c", the header lines, a
+/// Content-Length line when `length` is set, the blank line and the body.
+struct Wire {
+  std::string_view a, b, c;
+  const Headers& headers;
+  std::optional<std::size_t> length;
+  const std::string& body;
+
+  /// Exact byte count, so either output is built in one allocation.
+  std::size_t size(char (&digits)[24], std::size_t& ndigits) const {
+    std::size_t n = a.size() + b.size() + c.size() + 4 + 2 + body.size();
+    for (const auto& [name, value] : headers.entries()) {
+      n += name.size() + value.size() + 4;
+    }
+    ndigits = 0;
+    if (length) {
+      ndigits = static_cast<std::size_t>(
+          std::to_chars(digits, digits + sizeof digits, *length).ptr - digits);
+      n += 16 + ndigits + 2;  // "Content-Length: " digits CRLF
+    }
+    return n;
   }
-  std::string out;
-  out.reserve(size);
-  out += a;
-  out += ' ';
-  out += b;
-  out += ' ';
-  out += c;
-  out += "\r\n";
-  for (const auto& [name, value] : headers.entries()) {
-    out += name;
-    out += ": ";
-    out += value;
-    out += "\r\n";
+
+  /// Emit every piece, in order, through `put(std::string_view)`.
+  template <typename Put>
+  void write(Put&& put, std::string_view digits) const {
+    put(a);
+    put(" ");
+    put(b);
+    put(" ");
+    put(c);
+    put("\r\n");
+    for (const auto& [name, value] : headers.entries()) {
+      put(name);
+      put(": ");
+      put(value);
+      put("\r\n");
+    }
+    if (length) {
+      put("Content-Length: ");
+      put(digits);
+      put("\r\n");
+    }
+    put("\r\n");
+    put(body);
   }
-  if (length) {
+
+  std::string to_string() const {
     char digits[24];
-    out += "Content-Length: ";
-    out.append(digits, std::to_chars(digits, digits + sizeof digits, *length).ptr);
-    out += "\r\n";
+    std::size_t ndigits = 0;
+    std::string out;
+    out.reserve(size(digits, ndigits));
+    write([&](std::string_view s) { out += s; }, {digits, ndigits});
+    return out;
   }
-  out += "\r\n";
-  out += body;
-  return out;
+
+  net::Payload to_payload() const {
+    char digits[24];
+    std::size_t ndigits = 0;
+    std::uint8_t* out = nullptr;
+    net::Payload p = net::Payload::uninitialized(size(digits, ndigits), out);
+    write(
+        [&](std::string_view s) {
+          std::memcpy(out, s.data(), s.size());
+          out += s.size();
+        },
+        {digits, ndigits});
+    return p;
+  }
+};
+
+Wire request_wire(const HttpRequest& r) {
+  const bool add_length = !has_framing(r.headers) && !r.body.empty();
+  return Wire{r.method, r.target, r.version, r.headers,
+              add_length ? std::optional{r.body.size()} : std::nullopt,
+              r.body};
+}
+
+/// `status` must outlive the Wire (it holds the digits of the status code).
+Wire response_wire(const HttpResponse& r, char (&status)[16]) {
+  const char* end = std::to_chars(status, status + sizeof status, r.status).ptr;
+  // Responses always carry explicit framing so keep-alive works, even for
+  // empty bodies.
+  return Wire{r.version, std::string_view(status, end - status), r.reason,
+              r.headers,
+              has_framing(r.headers) ? std::nullopt
+                                     : std::optional{r.body.size()},
+              r.body};
 }
 }  // namespace
 
 std::string HttpRequest::serialize() const {
-  const bool add_length = !has_framing(headers) && !body.empty();
-  return serialize_message(method, target, version, headers,
-                           add_length ? std::optional{body.size()}
-                                      : std::nullopt,
-                           body);
+  return request_wire(*this).to_string();
+}
+
+net::Payload HttpRequest::to_payload() const {
+  return request_wire(*this).to_payload();
 }
 
 bool HttpRequest::wants_keep_alive() const {
@@ -118,15 +176,13 @@ bool HttpRequest::wants_keep_alive() const {
 }
 
 std::string HttpResponse::serialize() const {
-  char digits[16];
-  const char* end = std::to_chars(digits, digits + sizeof digits, status).ptr;
-  // Responses always carry explicit framing so keep-alive works, even for
-  // empty bodies.
-  return serialize_message(version, std::string_view(digits, end - digits),
-                           reason, headers,
-                           has_framing(headers) ? std::nullopt
-                                                : std::optional{body.size()},
-                           body);
+  char status[16];
+  return response_wire(*this, status).to_string();
+}
+
+net::Payload HttpResponse::to_payload() const {
+  char status[16];
+  return response_wire(*this, status).to_payload();
 }
 
 bool HttpResponse::wants_keep_alive() const {

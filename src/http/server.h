@@ -8,11 +8,16 @@
 //   GET  /payload?size=N N bytes of data (throughput experiments)
 //   POST /sink           accepts any body, tiny response
 //   GET  /crossdomain.xml  Flash cross-domain policy (Section 2.1)
+//
+// The static routes (/, /echo, /crossdomain.xml) answer with bytes that
+// depend only on the request target and the connection mode, so each
+// distinct answer is serialized once per server and replayed after that.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,24 +65,49 @@ class WebServer {
     std::string method;
     std::string path;
     Handler handler;
+    /// The handler's response is a function of the target alone (a
+    /// built-in static route): serialized responses may be replayed.
+    bool replayable = false;
   };
+
+  /// One serialized response of a replayable route.
+  struct Replay {
+    std::size_t route;  ///< index into routes_
+    std::string target;
+    bool keep_alive;
+    std::string bytes;
+  };
+  /// Distinct targets remembered per server; beyond this, responses are
+  /// built per request as for any other route.
+  static constexpr std::size_t kMaxReplays = 64;
 
   struct ConnState {
     std::shared_ptr<net::TcpConnection> conn;
     RequestParser parser;
+    /// Requests parsed and waiting out the think time, oldest first. One
+    /// at a time unless the client pipelines; the overflow is `backlog`.
+    std::optional<HttpRequest> waiting;
+    std::vector<HttpRequest> backlog;
     bool closing = false;
   };
 
   void install_default_routes();
+  void route(const std::string& method, const std::string& path,
+             Handler handler, bool replayable);
   void on_accept(std::shared_ptr<net::TcpConnection> conn);
   void on_data(const std::shared_ptr<ConnState>& state,
                const net::Payload& bytes);
   void dispatch(const std::shared_ptr<ConnState>& state, HttpRequest request);
-  HttpResponse handle(const HttpRequest& request);
+  /// Answer the oldest waiting request of `state` (its think time is over).
+  void respond(ConnState& state);
+  /// The route for `request`, or nullptr; `path_known` tells a 405 from a
+  /// 404 when there is none.
+  const Route* match(const HttpRequest& request, bool& path_known) const;
 
   net::Host& host_;
   Config config_;
   std::vector<Route> routes_;  // few enough that a scan beats hashing
+  std::vector<Replay> replays_;
   std::uint64_t requests_served_ = 0;
   std::uint64_t connections_accepted_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "ws/sha1.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace bnm::ws {
@@ -8,34 +9,70 @@ namespace {
 constexpr std::uint32_t rotl(std::uint32_t x, int n) {
   return (x << n) | (x >> (32 - n));
 }
-}  // namespace
 
-std::array<std::uint8_t, 20> sha1(const std::string& data) {
-  std::uint32_t h0 = 0x67452301, h1 = 0xEFCDAB89, h2 = 0x98BADCFE,
-                h3 = 0x10325476, h4 = 0xC3D2E1F0;
-
-  // Pre-process: append 0x80, pad with zeros, append 64-bit bit length.
-  std::string msg = data;
-  const std::uint64_t bit_len = static_cast<std::uint64_t>(msg.size()) * 8;
-  msg.push_back(static_cast<char>(0x80));
-  while (msg.size() % 64 != 56) msg.push_back('\0');
-  for (int i = 7; i >= 0; --i) {
-    msg.push_back(static_cast<char>((bit_len >> (8 * i)) & 0xff));
+/// Streaming state: whole 64-byte blocks are compressed straight from the
+/// input, only a partial block is buffered, so hashing allocates nothing.
+class Sha1 {
+ public:
+  void update(std::string_view data) {
+    const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+    std::size_t n = data.size();
+    total_ += n;
+    if (fill_ != 0) {
+      const std::size_t take = std::min(n, sizeof block_ - fill_);
+      std::memcpy(block_ + fill_, p, take);
+      fill_ += take;
+      p += take;
+      n -= take;
+      if (fill_ < sizeof block_) return;
+      compress(block_);
+      fill_ = 0;
+    }
+    for (; n >= sizeof block_; p += sizeof block_, n -= sizeof block_) {
+      compress(p);
+    }
+    std::memcpy(block_, p, n);
+    fill_ = n;
   }
 
-  for (std::size_t chunk = 0; chunk < msg.size(); chunk += 64) {
+  std::array<std::uint8_t, 20> finish() {
+    // Pad: 0x80, zeros to 56 mod 64, then the 64-bit bit length.
+    const std::uint64_t bit_len = total_ * 8;
+    unsigned char tail[2 * 64] = {};
+    std::memcpy(tail, block_, fill_);
+    tail[fill_] = 0x80;
+    const std::size_t len = fill_ < 56 ? 64 : 128;
+    for (int i = 0; i < 8; ++i) {
+      tail[len - 1 - static_cast<std::size_t>(i)] =
+          static_cast<unsigned char>((bit_len >> (8 * i)) & 0xff);
+    }
+    compress(tail);
+    if (len == 128) compress(tail + 64);
+
+    std::array<std::uint8_t, 20> out;
+    for (int i = 0; i < 5; ++i) {
+      out[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);
+      out[4 * i + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
+      out[4 * i + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
+      out[4 * i + 3] = static_cast<std::uint8_t>(h_[i]);
+    }
+    return out;
+  }
+
+ private:
+  void compress(const unsigned char* chunk) {
     std::uint32_t w[80];
     for (int i = 0; i < 16; ++i) {
-      w[i] = (static_cast<std::uint32_t>(static_cast<unsigned char>(msg[chunk + 4 * i])) << 24) |
-             (static_cast<std::uint32_t>(static_cast<unsigned char>(msg[chunk + 4 * i + 1])) << 16) |
-             (static_cast<std::uint32_t>(static_cast<unsigned char>(msg[chunk + 4 * i + 2])) << 8) |
-             static_cast<std::uint32_t>(static_cast<unsigned char>(msg[chunk + 4 * i + 3]));
+      w[i] = (static_cast<std::uint32_t>(chunk[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(chunk[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(chunk[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(chunk[4 * i + 3]);
     }
     for (int i = 16; i < 80; ++i) {
       w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
     }
 
-    std::uint32_t a = h0, b = h1, c = h2, d = h3, e = h4;
+    std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
     for (int i = 0; i < 80; ++i) {
       std::uint32_t f, k;
       if (i < 20) {
@@ -58,22 +95,32 @@ std::array<std::uint8_t, 20> sha1(const std::string& data) {
       b = a;
       a = temp;
     }
-    h0 += a;
-    h1 += b;
-    h2 += c;
-    h3 += d;
-    h4 += e;
+    h_[0] += a;
+    h_[1] += b;
+    h_[2] += c;
+    h_[3] += d;
+    h_[4] += e;
   }
 
-  std::array<std::uint8_t, 20> out;
-  const std::uint32_t hs[5] = {h0, h1, h2, h3, h4};
-  for (int i = 0; i < 5; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(hs[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(hs[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(hs[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(hs[i]);
-  }
-  return out;
+  std::uint32_t h_[5] = {0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476,
+                         0xC3D2E1F0};
+  unsigned char block_[64] = {};
+  std::size_t fill_ = 0;
+  std::uint64_t total_ = 0;
+};
+
+}  // namespace
+
+std::array<std::uint8_t, 20> sha1(std::string_view data) {
+  return sha1(data, {});
+}
+
+std::array<std::uint8_t, 20> sha1(std::string_view first,
+                                  std::string_view second) {
+  Sha1 h;
+  h.update(first);
+  h.update(second);
+  return h.finish();
 }
 
 std::string sha1_hex(const std::string& data) {

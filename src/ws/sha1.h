@@ -6,11 +6,15 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace bnm::ws {
 
 /// 20-byte SHA-1 digest of `data`.
-std::array<std::uint8_t, 20> sha1(const std::string& data);
+std::array<std::uint8_t, 20> sha1(std::string_view data);
+/// Digest of `first` followed by `second`, without concatenating them.
+std::array<std::uint8_t, 20> sha1(std::string_view first,
+                                  std::string_view second);
 
 /// Hex rendering of a digest (tests against known vectors).
 std::string sha1_hex(const std::string& data);
