@@ -69,9 +69,14 @@ void BrowserWebSocket::send(const std::string& data) {
   used_before_ = true;
   const sim::Duration pre =
       browser_.sample_pre_send(ProbeKind::kWebSocket, current_is_first_);
-  browser_.sim().scheduler().schedule_after(pre, [this, alive = alive_, data] {
+  // `bytes = data` stores a std::string, not the parameter's const one: a
+  // const member cannot move, which would push the closure to the heap.
+  browser_.sim().scheduler().schedule_after(pre, [this, alive = alive_,
+                                                  bytes = data] {
     if (!*alive || !conn_ || !conn_->open()) return;
-    conn_->send_binary(net::to_bytes(data));
+    conn_->send_message(ws::Opcode::kBinary,
+                        reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                        bytes.size());
   });
 }
 

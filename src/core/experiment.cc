@@ -235,10 +235,12 @@ OverheadSeries Experiment::run() {
     ctx.probe_timeout = config_.probe_timeout;
 
     // The result slot is shared with the completion callback: if a run is
-    // abandoned at the deadline, a straggler callback must land in heap
-    // memory that outlives this loop iteration, not a dead stack frame.
-    auto result = std::make_shared<std::optional<methods::MethodRunResult>>();
-    auto done = std::make_shared<bool>(false);
+    // abandoned at the deadline, a straggler callback must land in memory
+    // that outlives this loop iteration, not a dead stack frame (arena
+    // memory: it lives as long as the testbed).
+    auto result =
+        sim::make_arena_shared<std::optional<methods::MethodRunResult>>();
+    auto done = sim::make_arena_shared<bool>(false);
     method->run(ctx, [result, done](methods::MethodRunResult r) {
       *result = std::move(r);
       *done = true;

@@ -143,20 +143,19 @@ void Testbed::start_services() {
         cbs.on_message = [weak](const ws::MessageAssembler::Message& msg) {
           auto c = weak.lock();
           if (!c) return;
-          const std::string text = net::to_string(msg.data);
           // "PULL:<n>" requests an n-byte binary payload (throughput
           // probes); everything else echoes back unchanged.
-          if (text.rfind("PULL:", 0) == 0) {
+          constexpr std::string_view kPull = "PULL:";
+          const std::string_view text{
+              reinterpret_cast<const char*>(msg.data.data()), msg.data.size()};
+          if (text.starts_with(kPull)) {
+            const std::string count{text.substr(kPull.size())};
             const auto n = static_cast<std::size_t>(
-                std::strtoull(text.c_str() + 5, nullptr, 10));
+                std::strtoull(count.c_str(), nullptr, 10));
             c->send_binary(std::vector<std::uint8_t>(n, 0x42));
             return;
           }
-          if (msg.type == ws::Opcode::kText) {
-            c->send_text(text);
-          } else {
-            c->send_binary(msg.data);
-          }
+          c->send_message(msg.type, msg.data.data(), msg.data.size());
         };
         conn->set_callbacks(std::move(cbs));
       });

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 namespace bnm::sim {
@@ -165,5 +166,16 @@ class ArenaAllocator {
  private:
   Arena* arena_;
 };
+
+/// make_shared for simulation-scoped objects (per-connection, per-request
+/// and per-run state): the object and its control block are served from
+/// the current arena, or the global allocator when none is installed. The
+/// object, and every shared or weak reference to it, must die before that
+/// arena is reset — true of anything owned by a testbed's components.
+template <typename T, typename... Args>
+std::shared_ptr<T> make_arena_shared(Args&&... args) {
+  return std::allocate_shared<T>(ArenaAllocator<T>{},
+                                 std::forward<Args>(args)...);
+}
 
 }  // namespace bnm::sim

@@ -10,9 +10,10 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
-// FNV-1a 64-bit, used to mix fork labels into the seed stream.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+// FNV-1a 64-bit, used to mix fork labels into the seed stream. Byte-serial,
+// so hashing b after a (passing a's hash as `h`) equals hashing a + b.
+std::uint64_t fnv1a(std::string_view s,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
   for (unsigned char c : s) {
     h ^= c;
     h *= 0x100000001b3ull;
@@ -35,8 +36,10 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& w : s_) w = splitmix64(x);
 }
 
-Rng Rng::fork(std::string_view label) const {
-  std::uint64_t x = s_[0] ^ rotl(s_[3], 23) ^ fnv1a(label);
+Rng Rng::fork(std::string_view label) const { return fork(label, {}); }
+
+Rng Rng::fork(std::string_view prefix, std::string_view label) const {
+  std::uint64_t x = s_[0] ^ rotl(s_[3], 23) ^ fnv1a(label, fnv1a(prefix));
   std::array<std::uint64_t, 4> st;
   for (auto& w : st) w = splitmix64(x);
   return Rng{st};

@@ -27,6 +27,8 @@ class Rng {
   /// give each (browser, method, run) its own substream so adding one
   /// experiment never perturbs another.
   Rng fork(std::string_view label) const;
+  /// The stream fork(prefix + label) gives, without building that string.
+  Rng fork(std::string_view prefix, std::string_view label) const;
 
   std::uint64_t next_u64();
 

@@ -33,6 +33,10 @@ class Simulation {
 
   /// Independent RNG stream for a named component.
   Rng rng_for(std::string_view label) const { return root_rng_.fork(label); }
+  /// rng_for(prefix + label), without building that string.
+  Rng rng_for(std::string_view prefix, std::string_view label) const {
+    return root_rng_.fork(prefix, label);
+  }
 
  private:
   // Declared first so it is destroyed last: pending scheduler entries can
