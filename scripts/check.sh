@@ -105,7 +105,12 @@ step "perf: configure (Release)"
 cmake -B build-release -S . $(gen_for build-release) -DCMAKE_BUILD_TYPE=Release
 
 step "perf: build bench"
-cmake --build build-release -j --target perf_matrix payload_copy fault_overhead obs_overhead bench_schema_check chaos_matrix campaign_scale campaign passive_scale passive_pcap bnm_golden_tests
+cmake --build build-release -j --target perf_matrix payload_copy fault_overhead obs_overhead bench_schema_check chaos_matrix campaign_scale campaign passive_scale passive_pcap bnm_golden_tests bnm_kernel_tests
+
+step "kernel: Release ctest (-L kernel)"
+# The per-repetition allocation ceilings must hold in the configuration
+# perfbench measures, not only in the plain build.
+ctest --test-dir build-release -L kernel --output-on-failure
 
 step "golden: Release ctest (-L golden)"
 # The committed fingerprints carry no per-build-type variants: the
